@@ -53,14 +53,17 @@ def round_floats(value, digits: int = BENCH_FLOAT_DIGITS):
 
 
 def write_bench(path: Path, document: Dict) -> Dict:
-    """Write one BENCH_*.json artifact: sorted keys, fixed float rounding.
+    """Serialize one BENCH_*.json artifact: sorted keys, fixed float rounding.
 
-    Returns the document as re-read from disk, so callers assert on exactly
-    what was persisted.
+    The file is written only when ``REPRO_BENCH_WRITE=1``, so a plain test
+    run leaves the tracked artifacts alone.  Either way the return value is
+    the document round-tripped through exactly that JSON text, so callers
+    assert on what would be persisted.
     """
-    stable = round_floats(document)
-    path.write_text(json.dumps(stable, indent=2, sort_keys=True) + "\n")
-    return json.loads(path.read_text())
+    text = json.dumps(round_floats(document), indent=2, sort_keys=True) + "\n"
+    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+        path.write_text(text)
+    return json.loads(text)
 
 
 @dataclass

@@ -10,8 +10,8 @@ The package is organised as a set of substrates plus the co-design core:
 * :mod:`repro.traffic`    — the traffic-system design framework (components, rules).
 * :mod:`repro.core`       — flow synthesis, cycle decomposition, realization, pipeline.
 * :mod:`repro.sim`        — discrete-event execution engine (digital twin): a
-  deterministic, seedable event loop that executes realized plans tick-by-tick
-  with stochastic order streams, station service queues, telemetry, and a
+  deterministic, seedable event loop that executes realized plans on a tick
+  clock with stochastic order streams, station service queues, telemetry, and a
   runtime monitor re-checking the assume-guarantee contracts against the
   observed flows; a disruption stage injects stochastic failures (agent
   breakdowns/slowdowns, station outages, blocked aisles, demand surges) with

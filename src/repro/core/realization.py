@@ -1,13 +1,20 @@
 """Realizing an agent cycle set as a discrete plan (Sec. IV-C, Algorithm 1).
 
-The realizer simulates the warehouse timestep by timestep.  Every component
-moves the agents it contains toward its exit (one cell per move; a cell can
-only be entered if it was free on the previous timestep, so moves can never
-collide or swap); once per cycle period the agent at a component's exit may
-advance to the entry of the next component of its agent cycle.  With cycle
-time ``tc = 2m`` (``m`` = longest component) and no component loaded beyond
-``⌊|Ci|/2⌋`` cycle positions, every agent advances exactly one component per
-period (Property 4.1) — the realizer verifies this at every period boundary.
+Every component moves the agents it contains toward its exit (one cell per
+move; a cell can only be entered if it was free on the previous timestep, so
+moves can never collide or swap); once per cycle period the agent at a
+component's exit may advance to the entry of the next component of its agent
+cycle.  With cycle time ``tc = 2m`` (``m`` = longest component) and no
+component loaded beyond ``⌊|Ci|/2⌋`` cycle positions, every agent advances
+exactly one component per period (Property 4.1) — the realizer verifies this
+at every period boundary.
+
+Property 4.1 makes the motion periodic, so the realizer simulates it
+timestep by timestep only until the state at a period boundary repeats
+(typically within two periods) and tiles that window to the horizon.  Motion
+never depends on what agents carry; the loads are replayed afterwards, only
+at the ticks where an agent with a pending pickup or drop-off reaches a new
+cell or advances into a new component.
 
 Pickups and drop-offs happen while an agent traverses a component with a
 pickup / drop-off action: a pickup grabs the next product from the shelving
@@ -26,7 +33,8 @@ three feasibility conditions of Sec. III.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,10 +73,6 @@ class _AgentState:
     carrying: ProductId
     action_done: bool
     advance_t: int = -1
-    #: Product this agent has been assigned to pick up during its current
-    #: traversal of a shelving row (popped from the row's delivery schedule
-    #: when the agent enters the row).
-    target_product: Optional[ProductId] = None
 
 
 @dataclass
@@ -109,37 +113,82 @@ def realize_cycle_set(
     schedule = schedule.copy()
     stock = warehouse.stock.copy()
     agents = _place_agents(cycle_set, schedule, stock, options)
-    num_agents = len(agents)
     cycle_time = cycle_set.cycle_time
     periods = cycle_set.num_periods
     horizon = periods * cycle_time + 1
 
-    positions = np.zeros((num_agents, horizon), dtype=np.int64)
-    carrying = np.zeros((num_agents, horizon), dtype=np.int64)
-    for agent in agents:
-        positions[agent.agent_id, 0] = agent.vertex
-        carrying[agent.agent_id, 0] = agent.carrying
+    # Motion never reads what agents carry, so it is realized first (from a
+    # snapshot of the start state) and the loads are replayed over it.
+    start = [(a.position, a.carrying, a.action_done) for a in agents]
+    positions, advances, violations = _realize_motion(
+        system, agents, cycle_time, horizon, options.strict_periods
+    )
+    carrying, deliveries, pickups = _replay_actions(
+        agents, start, positions, advances, schedule, stock, warehouse.station_vertices
+    )
 
+    plan = Plan(
+        positions=positions,
+        carrying=carrying,
+        warehouse=warehouse,
+        metadata={
+            "cycle_time": float(cycle_time),
+            "num_periods": float(periods),
+            "num_cycles": float(cycle_set.num_cycles),
+        },
+    )
+    return RealizationResult(
+        plan=plan,
+        cycle_set=cycle_set,
+        seconds=time.perf_counter() - start_time,
+        deliveries=deliveries,
+        pickups=pickups,
+        property41_violations=violations,
+    )
+
+
+# ---------------------------------------------------------------------------
+# motion (Phases 1-2)
+# ---------------------------------------------------------------------------
+
+def _realize_motion(
+    system: TrafficSystem,
+    agents: List[_AgentState],
+    cycle_time: int,
+    horizon: int,
+    strict_periods: bool,
+) -> Tuple[np.ndarray, List[List[Tuple[int, int]]], int]:
+    """Move the agents until their motion repeats, then tile it to the horizon.
+
+    Returns the ``(agents, horizon)`` position matrix, the ``(agent, cycle
+    position)`` advances of every tick in component order, and the
+    Property-4.1 violation count.  At a period boundary the future motion is
+    a function of each agent's vertex, cycle position and whether it already
+    advanced on the previous period's last tick (that advance counts toward
+    the new period).  Once that key repeats an earlier boundary's, the window
+    between the two boundaries repeats to the horizon, lag counts included.
+    """
     agents_by_component: Dict[ComponentId, List[_AgentState]] = {
         c.index: [] for c in system.components
     }
     for agent in agents:
         agents_by_component[agent.component].append(agent)
 
-    deliveries: Dict[ProductId, int] = {}
-    pickups: Dict[ProductId, int] = {}
+    columns = [[agent.vertex for agent in agents]]
+    advances: List[List[Tuple[int, int]]] = []
     entered_this_period: Dict[ComponentId, int] = {c.index: 0 for c in system.components}
-    violations = 0
-    stations = warehouse.station_vertices
+    lagging_at: Dict[int, int] = {}
+    boundary_of: Dict[tuple, int] = {}
+    repeat: Optional[Tuple[int, int]] = None
 
     for t in range(horizon - 1):
         period_start = (t // cycle_time) * cycle_time
-        if t > 0 and t % cycle_time == 0:
-            entered_this_period = {c.index: 0 for c in system.components}
-            lagging = [a for a in agents if a.advance_t < t - cycle_time]
-            if lagging:
-                violations += len(lagging)
-                if options.strict_periods:
+        if t % cycle_time == 0:
+            if t > 0:
+                entered_this_period = {c.index: 0 for c in system.components}
+                lagging = [a for a in agents if a.advance_t < t - cycle_time]
+                lagging_at[t] = len(lagging)
+                if lagging and strict_periods:
                     names = ", ".join(
                         f"agent {a.agent_id} in {system.component(a.component).name}"
                         for a in lagging[:5]
@@ -149,34 +198,15 @@ def realize_cycle_set(
                         f"advance during the last period ({names}); "
                         "retry with a larger cycle_time_factor"
                     )
-
-        # Phase 0 — pickups and drop-offs, decided at the time-t vertices (the
-        # paper's condition (3) constrains φ_{t+1} by the position π_t, i.e. a
-        # product is picked from the shelf the agent stands next to *before*
-        # moving); the updated load is recorded at t + 1.
-        for agent in agents:
-            action = agent.cycle.actions[agent.position]
-            if action is None or agent.action_done:
-                continue
-            if action.is_pickup:
-                if agent.carrying != EMPTY_HANDED:
-                    agent.action_done = True
-                    continue
-                product = agent.target_product
-                if product is not None and stock.units_at(product, agent.vertex) > 0:
-                    stock.remove(product, agent.vertex, 1)
-                    agent.carrying = product
-                    agent.target_product = None
-                    agent.action_done = True
-                    pickups[product] = pickups.get(product, 0) + 1
-            else:  # drop-off
-                if agent.carrying != EMPTY_HANDED and agent.vertex in stations:
-                    deliveries[agent.carrying] = deliveries.get(agent.carrying, 0) + 1
-                    agent.carrying = EMPTY_HANDED
-                    agent.action_done = True
+            key = tuple((a.vertex, a.position, a.advance_t >= t) for a in agents)
+            first = boundary_of.setdefault(key, t)
+            if first != t:
+                repeat = (first, t)
+                break
 
         occupied = {agent.vertex for agent in agents}
         claimed: set = set()
+        advanced: List[Tuple[int, int]] = []
 
         # Phase 1 — cross-component advances (one eligible front agent per component).
         for component in system.components:
@@ -200,17 +230,7 @@ def realize_cycle_set(
             front.position = next_position
             front.vertex = entry
             front.advance_t = t + 1
-            front.action_done = False
-            next_action = front.cycle.actions[next_position]
-            if (
-                next_action is not None
-                and next_action.is_pickup
-                and front.carrying == EMPTY_HANDED
-            ):
-                # Commit the next scheduled unit of this shelving row to the
-                # entering agent; it will grab it at the first stocked cell it
-                # traverses (FIFO consumption of the delivery schedule).
-                front.target_product = schedule.next_product(next_component_id)
+            advanced.append((front.agent_id, next_position))
             claimed.add(entry)
             entered_this_period[next_component_id] += 1
 
@@ -234,29 +254,140 @@ def realize_cycle_set(
                     occupied.discard(agent.vertex)
                     agent.vertex = next_vertex
 
-        column = t + 1
-        for agent in agents:
-            positions[agent.agent_id, column] = agent.vertex
-            carrying[agent.agent_id, column] = agent.carrying
+        columns.append([agent.vertex for agent in agents])
+        advances.append(advanced)
 
-    plan = Plan(
-        positions=positions,
-        carrying=carrying,
-        warehouse=warehouse,
-        metadata={
-            "cycle_time": float(cycle_time),
-            "num_periods": float(periods),
-            "num_cycles": float(cycle_set.num_cycles),
-        },
-    )
-    return RealizationResult(
-        plan=plan,
-        cycle_set=cycle_set,
-        seconds=time.perf_counter() - start_time,
-        deliveries=deliveries,
-        pickups=pickups,
-        property41_violations=violations,
-    )
+    realized = np.array(columns, dtype=np.int64).T
+    violations = sum(lagging_at.values())
+    if repeat is None:
+        return realized, advances, violations
+
+    first, again = repeat
+    length = again - first
+    source = np.arange(horizon)
+    tiled = source > again
+    source[tiled] = first + (source[tiled] - first) % length
+    advances += [advances[first + (t - first) % length] for t in range(again, horizon - 1)]
+    # A boundary past the window lags like its copy in (first, again]: the
+    # copy's previous period lies inside the repeating motion too.
+    for boundary in range(again + cycle_time, horizon - 1, cycle_time):
+        copy = boundary - length * -(-(boundary - again) // length)
+        violations += lagging_at[copy]
+    return realized[:, source], advances, violations
+
+
+# ---------------------------------------------------------------------------
+# loads (Phase 0 and the delivery schedule)
+# ---------------------------------------------------------------------------
+
+def _replay_actions(
+    agents: List[_AgentState],
+    start: List[Tuple[int, ProductId, bool]],
+    positions: np.ndarray,
+    advances: List[List[Tuple[int, int]]],
+    schedule: DeliverySchedule,
+    stock,
+    stations,
+) -> Tuple[np.ndarray, Dict[ProductId, int], Dict[ProductId, int]]:
+    """Pickups, drop-offs and schedule pops over realized motion.
+
+    Phase 0 is decided at the time-t vertex and recorded at t + 1 (the
+    paper's condition (3) constrains φ_{t+1} by π_t: a product is picked from
+    the shelf the agent stands next to *before* moving).  It only ever
+    changes state for an agent with a pending action that can still succeed
+    — an empty-handed agent holding a scheduled product on a pickup row, or
+    a loaded agent on a drop-off row — and a failed check repeats identically
+    until the agent reaches a new vertex (nobody else can pick from the cell
+    it occupies).  So each such agent is checked only at its arrivals, and
+    everything runs in Algorithm 1's (tick, agent id) order, since stock and
+    the delivery queues are shared.
+    """
+    num_agents, horizon = positions.shape
+    moved = positions[:, 1:] != positions[:, :-1]
+    #: Per agent, the ticks it reaches a new vertex and those vertices.
+    arrivals = []
+    for agent, row in enumerate(moved):
+        ticks = np.flatnonzero(row) + 1
+        arrivals.append((ticks.tolist(), positions[agent, ticks].tolist()))
+    units = stock.as_array().tolist()
+
+    cycles = [agent.cycle for agent in agents]
+    position = [p for p, _, _ in start]
+    carry = [c for _, c, _ in start]
+    #: Product each agent was assigned when it entered its current shelving
+    #: row (popped from the row's delivery schedule), until it picks it.
+    target: List[Optional[ProductId]] = [None] * num_agents
+    #: Tick of each agent's next check (-1: nothing can happen until it advances).
+    next_check = [-1] * num_agents
+    checks: Dict[int, List[int]] = {}
+
+    def schedule_check(agent: int, t: int) -> None:
+        action = cycles[agent].actions[position[agent]]
+        live = action is not None and (
+            (carry[agent] == EMPTY_HANDED and target[agent] is not None)
+            if action.is_pickup
+            else carry[agent] != EMPTY_HANDED
+        )
+        if not live or t >= horizon - 1:
+            next_check[agent] = -1
+        elif next_check[agent] != t:
+            next_check[agent] = t
+            checks.setdefault(t, []).append(agent)
+
+    for agent, (_, _, action_done) in enumerate(start):
+        if not action_done:
+            schedule_check(agent, 0)
+
+    deliveries: Dict[ProductId, int] = {}
+    pickups: Dict[ProductId, int] = {}
+    changes: List[Tuple[int, int, int]] = []  # (agent, tick, load delta)
+    for t in range(horizon - 1):
+        due = checks.pop(t, None)
+        if due:
+            for agent in sorted(due):
+                if next_check[agent] != t:
+                    continue  # superseded by an advance
+                next_check[agent] = -1
+                ticks, vertices = arrivals[agent]
+                index = bisect_left(ticks, t)
+                if index < len(ticks) and ticks[index] == t:
+                    vertex = vertices[index]
+                    index += 1
+                else:  # t == 0, before the first arrival
+                    vertex = int(positions[agent, 0])
+                if cycles[agent].actions[position[agent]].is_pickup:
+                    product = target[agent]
+                    if units[product][vertex] > 0:
+                        units[product][vertex] -= 1
+                        carry[agent] = product
+                        target[agent] = None
+                        pickups[product] = pickups.get(product, 0) + 1
+                        changes.append((agent, t + 1, product))
+                        continue
+                elif vertex in stations:
+                    product = carry[agent]
+                    deliveries[product] = deliveries.get(product, 0) + 1
+                    carry[agent] = EMPTY_HANDED
+                    changes.append((agent, t + 1, -product))
+                    continue
+                if index < len(ticks):
+                    schedule_check(agent, ticks[index])
+        for agent, cycle_position in advances[t]:
+            position[agent] = cycle_position
+            action = cycles[agent].actions[cycle_position]
+            if action is not None and action.is_pickup and carry[agent] == EMPTY_HANDED:
+                # Commit the next scheduled unit of this shelving row to the
+                # entering agent; it will grab it at the first stocked cell it
+                # traverses (FIFO consumption of the delivery schedule).
+                target[agent] = schedule.next_product(cycles[agent].components[cycle_position])
+            schedule_check(agent, t + 1)
+
+    deltas = np.zeros((num_agents, horizon), dtype=np.int64)
+    deltas[:, 0] = [c for _, c, _ in start]
+    if changes:
+        rows, ticks, values = zip(*changes)
+        deltas[list(rows), list(ticks)] = values
+    return np.cumsum(deltas, axis=1), deliveries, pickups
 
 
 # ---------------------------------------------------------------------------

@@ -227,11 +227,18 @@ def _bind_reuseport(host: str, port: int, listen: bool) -> socket.socket:
 
 
 class _WorkerHTTPServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` adopting an already-bound, listening socket."""
+    """``ThreadingHTTPServer`` adopting an already-bound, listening socket.
+
+    The listener is made non-blocking: in shared-listener mode every worker
+    selects on the same socket, and the workers that lose the race for a
+    connection must get ``EAGAIN`` back from ``accept()`` rather than block
+    in it — a blocked accept loop never sees ``shutdown()``.
+    """
 
     def __init__(self, sock: socket.socket, handler) -> None:
         super().__init__(sock.getsockname()[:2], handler, bind_and_activate=False)
         self.socket.close()  # the unbound one the base class minted
+        sock.setblocking(False)
         self.socket = sock
         host, port = sock.getsockname()[:2]
         self.server_name = host

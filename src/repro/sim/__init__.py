@@ -4,7 +4,7 @@ The static pipeline proves a plan *exists*; this package *executes* it over
 simulated time and observes whether the promises hold dynamically:
 
 * :mod:`repro.sim.engine`       — deterministic, seedable event-heap engine;
-* :mod:`repro.sim.agents`       — executors stepping realized plans tick-by-tick;
+* :mod:`repro.sim.agents`       — plan replay, one engine event per eventful tick;
 * :mod:`repro.sim.routing`      — grid-routed execution: agent motion re-planned
   on the floorplan by a pluggable MAPF router (prioritized/CBS/ECBS/lifelong)
   with reservation-based collision avoidance and congestion telemetry;
@@ -29,7 +29,7 @@ Typical use, given a solved instance::
     assert report.contracts_ok
 """
 
-from .agents import AgentExecutor, ExecutionError, PlanExecutor
+from .agents import ExecutionError, PlanExecutor
 from .disruptions import (
     DISRUPTION_KINDS,
     DisruptionConfig,
@@ -100,7 +100,6 @@ from .workload_gen import (
 )
 
 __all__ = [
-    "AgentExecutor",
     "ContractMonitor",
     "DEFAULT_LIFELONG_WINDOW",
     "DISRUPTION_KINDS",

@@ -1,9 +1,9 @@
-"""Agent executors: stepping a realized plan through the event engine.
+"""Plan execution: stepping a realized plan through the event engine.
 
 A realized :class:`~repro.warehouse.plan.Plan` is a complete commitment — for
 every agent and tick it fixes the vertex and the carried product.  The
-executors replay those commitments tick by tick and translate them into the
-*events* the rest of the digital twin consumes:
+executor replays those commitments and translates them into the *events* the
+rest of the digital twin consumes:
 
 * movement (visit counts, per-component transitions with the carried product —
   the observable counterpart of the synthesized flow variables ``f[i, j, k]``);
@@ -13,10 +13,13 @@ executors replay those commitments tick by tick and translate them into the
   :class:`~repro.sim.stations.StationProcess`, whose service queue decides when
   the unit actually counts as served).
 
-Splitting execution per agent keeps the event semantics local: each
-:class:`AgentExecutor` owns one row of the (π, φ) matrices and only interprets
-*its* state changes.  The :class:`PlanExecutor` drives all of them on the
-shared clock so a run costs one engine event per tick, not one per agent.
+Because the plan is fixed in advance, the executor diffs the (π, φ) matrices
+once and schedules an engine event only at the ticks where an agent crosses
+into another component, changes its load, or — while the event log is being
+recorded — moves at all.  Each such event steps only those agents, in agent
+order, so station hand-offs, RNG draws, monitor reads and the event log keep
+the order a tick-by-tick replay would give them.  Visit counts come from the
+whole position matrix at once.
 """
 
 from __future__ import annotations
@@ -37,78 +40,8 @@ class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed against the given traffic system."""
 
 
-class AgentExecutor:
-    """Replays one agent's row of a plan and emits its events."""
-
-    def __init__(
-        self,
-        agent_id: int,
-        positions: np.ndarray,
-        carrying: np.ndarray,
-        owner_of: Dict[int, ComponentId],
-        recorder: TraceRecorder,
-        stations: Dict[ComponentId, StationProcess],
-        shelves: Dict[ComponentId, ShelfProcess],
-    ) -> None:
-        self.agent_id = agent_id
-        self.positions = positions
-        self.carrying = carrying
-        self.owner_of = owner_of
-        self.recorder = recorder
-        self.stations = stations
-        self.shelves = shelves
-
-    def step(self, t: int) -> None:
-        """Interpret the transition from tick ``t`` to ``t + 1``."""
-        src = int(self.positions[t])
-        dst = int(self.positions[t + 1])
-        before = int(self.carrying[t])
-        after = int(self.carrying[t + 1])
-        now = t + 1
-
-        if src != dst:
-            self.recorder.record_move(now, self.agent_id, src, dst)
-            src_component = self.owner_of.get(src)
-            dst_component = self.owner_of.get(dst)
-            if (
-                src_component is not None
-                and dst_component is not None
-                and src_component != dst_component
-            ):
-                # Cross-component advance: the live counterpart of one unit of
-                # the synthesized flow f[src, dst, product] in this period.
-                # The product crossing the boundary is the one carried *after*
-                # the move (pickups/drop-offs resolve at the departure vertex).
-                self.recorder.record_transition(now, src_component, dst_component, after)
-
-        if before == after:
-            return
-        # The paper's condition (3): the load change at t+1 is decided at the
-        # vertex occupied at t.
-        component = self.owner_of.get(src)
-        if before == EMPTY_HANDED:
-            shelf = self.shelves.get(component) if component is not None else None
-            if shelf is not None:
-                if not shelf.pick(after, now):
-                    self.recorder.record_stockout(now, component, after)
-            else:
-                # Pickup outside any shelving row (e.g. hand-authored plans):
-                # still count the unit so conservation holds.
-                self.recorder.record_pickup(now, -1 if component is None else component, after)
-        elif after == EMPTY_HANDED:
-            station = self.stations.get(component) if component is not None else None
-            if station is not None:
-                station.handoff(before)
-            else:
-                self.recorder.record_handoff(
-                    now, -1 if component is None else component, before
-                )
-        # before != after != 0 (a swap) is structurally invalid; the plan
-        # validator reports it, the executor simply replays the matrices.
-
-
 class PlanExecutor:
-    """Drives every agent executor on the engine's clock."""
+    """Replays a plan on the engine's clock, one event per eventful tick."""
 
     def __init__(
         self,
@@ -137,39 +70,120 @@ class PlanExecutor:
         self.engine = engine
         self.plan = plan
         self.recorder = recorder
+        self.stations = stations
+        self.shelves = shelves
         self.ticks = plan.horizon if max_ticks is None else min(max_ticks, plan.horizon)
-        owner_of = {v: system.owner_of(v) for v in range(plan.warehouse.floorplan.num_vertices)}
-        owner_of = {v: c for v, c in owner_of.items() if c is not None}
-        self.agents: List[AgentExecutor] = [
-            AgentExecutor(
-                agent_id=agent,
-                positions=plan.positions[agent],
-                carrying=plan.carrying[agent],
-                owner_of=owner_of,
-                recorder=recorder,
-                stations=stations,
-                shelves=shelves,
-            )
-            for agent in range(plan.num_agents)
-        ]
+        num_vertices = plan.warehouse.floorplan.num_vertices
+        owners = [system.owner_of(v) for v in range(num_vertices)]
+        #: Component of every vertex, -1 where no component owns it.
+        self._owner = np.array([-1 if c is None else c for c in owners], dtype=np.int64)
+        self._steps: List[tuple] = []
+        self._next = 0
 
     def start(self) -> None:
-        """Schedule the tick loop; tick t interprets the move into tick t."""
+        """Schedule the replay; the event at tick t interprets the move into t."""
         self.engine.schedule_at(0, self._begin, PRIORITY_AGENTS)
 
     def _begin(self) -> None:
-        self.recorder.record_positions(0, self.plan.positions[:, 0])
+        positions = self.plan.positions[:, : self.ticks]
+        self.recorder.record_positions(0, positions)
         for agent in range(self.plan.num_agents):
             product = int(self.plan.carrying[agent, 0])
             if product != EMPTY_HANDED:
                 self.recorder.record_preload(agent, product)
-        if self.ticks > 1:
-            self.engine.schedule_at(1, self._tick, PRIORITY_AGENTS)
+        self._steps = self._eventful_steps()
+        self._schedule_next()
+
+    def _owner_of(self, vertices: np.ndarray) -> np.ndarray:
+        """Owning component of every vertex id (-1 when unowned or out of range)."""
+        owner = self._owner
+        inside = (vertices >= 0) & (vertices < len(owner))
+        return np.where(inside, owner[np.clip(vertices, 0, len(owner) - 1)], -1)
+
+    def _eventful_steps(self) -> List[tuple]:
+        """``(tick, agent, src, dst, before, after, src component, dst component)``
+        of every step that emits something, ordered by tick, then agent."""
+        positions = self.plan.positions[:, : self.ticks]
+        carrying = self.plan.carrying[:, : self.ticks]
+        src, dst = positions[:, :-1], positions[:, 1:]
+        before, after = carrying[:, :-1], carrying[:, 1:]
+        moved = src != dst
+        src_component = self._owner_of(src)
+        dst_component = self._owner_of(dst)
+        crossed = moved & (src_component >= 0) & (dst_component >= 0)
+        crossed &= src_component != dst_component
+        eventful = crossed | (before != after)
+        if self.recorder.events is not None:
+            eventful |= moved
+        ticks, agents = np.nonzero(eventful.T)
+        cells = (agents, ticks)
+        return list(
+            zip(
+                (ticks + 1).tolist(),
+                agents.tolist(),
+                src[cells].tolist(),
+                dst[cells].tolist(),
+                before[cells].tolist(),
+                after[cells].tolist(),
+                src_component[cells].tolist(),
+                dst_component[cells].tolist(),
+            )
+        )
+
+    def _schedule_next(self) -> None:
+        if self._next < len(self._steps):
+            self.engine.schedule_at(self._steps[self._next][0], self._tick, PRIORITY_AGENTS)
 
     def _tick(self) -> None:
+        steps = self._steps
         now = self.engine.now
-        for agent in self.agents:
-            agent.step(now - 1)
-        self.recorder.record_positions(now, self.plan.positions[:, now])
-        if now + 1 < self.ticks:
-            self.engine.schedule_at(now + 1, self._tick, PRIORITY_AGENTS)
+        index = self._next
+        while index < len(steps) and steps[index][0] == now:
+            self._step(*steps[index])
+            index += 1
+        self._next = index
+        self._schedule_next()
+
+    def _step(
+        self,
+        now: int,
+        agent: int,
+        src: int,
+        dst: int,
+        before: int,
+        after: int,
+        src_component: int,
+        dst_component: int,
+    ) -> None:
+        """Interpret one agent's transition from tick ``now - 1`` to ``now``."""
+        recorder = self.recorder
+        if src != dst:
+            recorder.record_move(now, agent, src, dst)
+            if src_component >= 0 and dst_component >= 0 and src_component != dst_component:
+                # Cross-component advance: the live counterpart of one unit of
+                # the synthesized flow f[src, dst, product] in this period.
+                # The product crossing the boundary is the one carried *after*
+                # the move (pickups/drop-offs resolve at the departure vertex).
+                recorder.record_transition(now, src_component, dst_component, after)
+
+        if before == after:
+            return
+        # The paper's condition (3): the load change at t+1 is decided at the
+        # vertex occupied at t (-1 when no component owns it).
+        if before == EMPTY_HANDED:
+            shelf = self.shelves.get(src_component)
+            if shelf is not None:
+                if not shelf.pick(after, now):
+                    recorder.record_stockout(now, src_component, after)
+            else:
+                # Pickup outside any shelving row (e.g. hand-authored plans):
+                # still count the unit so conservation holds.
+                recorder.record_pickup(now, src_component, after)
+        elif after == EMPTY_HANDED:
+            station = self.stations.get(src_component)
+            if station is not None:
+                station.handoff(before)
+            else:
+                recorder.record_handoff(now, src_component, before)
+        # before != after != 0 (a swap) is structurally invalid; the plan
+        # validator reports it, the executor simply replays the matrices.

@@ -150,8 +150,9 @@ class ContractMonitor:
             period = now // cycle_time - 1
             if period < 0 or period >= recorder.periods:
                 return
+            entries = recorder.entries_per_component(period)
             for component in self.system.components:
-                entered = recorder.transitions_into(component.index, period)
+                entered = entries.get(component.index, 0)
                 if entered > component.capacity:
                     key = (component.index, period)
                     if key in self._live_seen:

@@ -242,9 +242,9 @@ def build_shelf_processes(
     processes: Dict[ComponentId, ShelfProcess] = {}
     for component in system.shelving_rows():
         stock = {
-            product: system.units_at(component.index, product)
+            product: units
             for product in system.warehouse.catalog.product_ids
-            if system.units_at(component.index, product) > 0
+            if (units := system.units_at(component.index, product)) > 0
         }
         processes[component.index] = ShelfProcess(component.index, recorder, stock)
     return processes

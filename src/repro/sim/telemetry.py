@@ -243,7 +243,11 @@ class TraceRecorder:
 
     # -- recording API -------------------------------------------------------------
     def record_positions(self, tick: int, vertices: np.ndarray) -> None:
-        """Per-tick agent positions; feeds the congestion (visit-count) map."""
+        """Agent positions from ``tick`` on; feeds the congestion (visit-count) map.
+
+        ``vertices`` is one tick's column or a whole ``(agents, ticks)`` block
+        of the position matrix; every entry counts one agent-tick.
+        """
         np.add.at(self.visits, vertices, 1)
 
     def record_move(self, tick: int, agent: int, src: int, dst: int) -> None:
@@ -329,11 +333,16 @@ class TraceRecorder:
 
     def transitions_into(self, component: ComponentId, period: int) -> int:
         """Agents that entered ``component`` during one complete period (live query)."""
-        total = 0
-        for (_, dst, _), counts in self._transitions.items():
-            if dst == component and 0 <= period < len(counts):
-                total += int(counts[period])
-        return total
+        return self.entries_per_component(period).get(component, 0)
+
+    def entries_per_component(self, period: int) -> Dict[ComponentId, int]:
+        """Agents that entered each component during one complete period,
+        tallied in one pass over the transition counts (live query)."""
+        entered: Dict[ComponentId, int] = {}
+        if 0 <= period < self.periods:
+            for (_, dst, _), counts in self._transitions.items():
+                entered[dst] = entered.get(dst, 0) + int(counts[period])
+        return entered
 
     def record_queue_length(self, tick: int, component: ComponentId, length: int) -> None:
         samples = self._queues.get(component)

@@ -9,12 +9,18 @@ workload ("the plan *services* w").
 
 The validator is deliberately independent of the planner: it re-derives
 everything from the raw (π, φ) matrices and the warehouse, so it can catch
-bugs in the realization algorithm as well as in the MAPF baselines.
+bugs in the realization algorithm as well as in the MAPF baselines.  It
+still checks the full matrices, in two passes per condition: a numpy screen
+flags every cell that could violate it (it may over-flag, never under-flag),
+then the per-cell check runs on the flagged cells in agent/timestep order,
+so violations, their order and the ``max_violations`` cap do not depend on
+the screen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,21 +94,16 @@ class Plan:
 
         A delivery happens at step ``t+1`` when an agent that carried product
         ``k`` at ``t`` while standing on a station vertex is empty-handed at
-        ``t+1``.
+        ``t+1``.  Triples are ordered by agent, then timestep.
         """
-        events: List[Tuple[int, int, ProductId]] = []
-        stations = self.warehouse.station_vertices
-        for agent in range(self.num_agents):
-            carrying = self.carrying[agent]
-            positions = self.positions[agent]
-            for t in range(self.horizon - 1):
-                if (
-                    carrying[t] != EMPTY_HANDED
-                    and carrying[t + 1] == EMPTY_HANDED
-                    and int(positions[t]) in stations
-                ):
-                    events.append((agent, t + 1, int(carrying[t])))
-        return events
+        before = self.carrying[:, :-1]
+        agents, ticks = np.nonzero((before != EMPTY_HANDED) & (self.carrying[:, 1:] == EMPTY_HANDED))
+        stations = np.fromiter(self.warehouse.station_vertices, dtype=np.int64)
+        at_station = np.isin(self.positions[agents, ticks], stations)
+        agents, ticks = agents[at_station], ticks[at_station]
+        return list(
+            zip(agents.tolist(), (ticks + 1).tolist(), before[agents, ticks].tolist())
+        )
 
     def delivered_units(self) -> Dict[ProductId, int]:
         """Units of each product delivered to stations over the whole plan."""
@@ -241,29 +242,40 @@ class PlanValidator:
         """Condition (1): an agent moves by zero or one edge per timestep."""
         floorplan = self.warehouse.floorplan
         num_vertices = floorplan.num_vertices
-        for agent in range(plan.num_agents):
-            path = plan.positions[agent]
-            for t in range(plan.horizon - 1):
-                u, v = int(path[t]), int(path[t + 1])
-                if u == v:
-                    continue
-                if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                    continue  # already reported by the vertex-range check
-                if not floorplan.are_adjacent(u, v):
-                    if not add(
-                        PlanViolation(
-                            "movement",
-                            agent,
-                            t + 1,
-                            f"jump from {floorplan.cell_of(u)} to {floorplan.cell_of(v)}",
-                        )
-                    ):
-                        return
+        src, dst = plan.positions[:, :-1], plan.positions[:, 1:]
+        # Screen: moves between in-range vertices whose u·n+v edge code is
+        # not an edge of the floorplan (out-of-range ends are the
+        # vertex-range check's to report).
+        moving = (src != dst) & (src >= 0) & (src < num_vertices)
+        moving &= (dst >= 0) & (dst < num_vertices)
+        agents, ticks = np.nonzero(moving)
+        codes = src[agents, ticks] * num_vertices + dst[agents, ticks]
+        adjacency = floorplan.adjacency
+        edges = np.repeat(
+            np.arange(len(adjacency), dtype=np.int64), [len(near) for near in adjacency]
+        ) * num_vertices + np.fromiter(chain.from_iterable(adjacency), dtype=np.int64)
+        jumps = np.isin(codes, edges, invert=True)
+        for agent, t in zip(agents[jumps].tolist(), ticks[jumps].tolist()):
+            u, v = int(src[agent, t]), int(dst[agent, t])
+            if not add(
+                PlanViolation(
+                    "movement",
+                    agent,
+                    t + 1,
+                    f"jump from {floorplan.cell_of(u)} to {floorplan.cell_of(v)}",
+                )
+            ):
+                return
 
     def _check_collisions(self, plan: Plan, add) -> None:
-        """Condition (2): no vertex collisions, no edge (swap) collisions."""
+        """Condition (2): no vertex collisions, no edge (swap) collisions.
+
+        Sorted-code screens pick the timesteps that can hold a collision; the
+        per-timestep checks below run on those only.
+        """
         positions = plan.positions
-        for t in range(plan.horizon):
+        ordered = np.sort(positions, axis=0)
+        for t in np.flatnonzero((ordered[1:] == ordered[:-1]).any(axis=0)).tolist():
             column = positions[:, t]
             order = np.argsort(column, kind="stable")
             sorted_vals = column[order]
@@ -279,14 +291,12 @@ class PlanValidator:
                     )
                 ):
                     return
-        for t in range(plan.horizon - 1):
+        for t in _swap_candidates(positions).tolist():
             now = positions[:, t]
             nxt = positions[:, t + 1]
             moves = {}
-            for agent in range(plan.num_agents):
-                u, v = int(now[agent]), int(nxt[agent])
-                if u != v:
-                    moves[(u, v)] = agent
+            for agent in np.flatnonzero(now != nxt).tolist():
+                moves[(int(now[agent]), int(nxt[agent]))] = agent
             for (u, v), agent in moves.items():
                 other = moves.get((v, u))
                 if other is not None and other != agent and agent < other:
@@ -307,21 +317,31 @@ class PlanValidator:
         delivered: Dict[ProductId, int],
         pickups: Dict[ProductId, int],
     ) -> None:
-        """Condition (3): pickups only at stocked shelf-access vertices, drop-offs at stations."""
+        """Condition (3): pickups only at stocked shelf-access vertices, drop-offs at stations.
+
+        Only load changes and out-of-range products can violate it or count
+        as a pickup or delivery; a screen flags those steps and the per-step
+        check runs on them, agent by agent in timestep order.
+        """
         warehouse = self.warehouse
         stations = warehouse.station_vertices
         stock = warehouse.stock.copy() if self.track_inventory else None
         num_products = warehouse.num_products
         num_vertices = warehouse.floorplan.num_vertices
 
+        carrying = plan.carrying
+        unknown = (carrying != EMPTY_HANDED) & ((carrying < 1) | (carrying > num_products))
+        flagged = (carrying[:, 1:] != carrying[:, :-1]) | unknown[:, 1:]
+        rows, steps = np.nonzero(flagged)
+        bounds = np.searchsorted(rows, np.arange(plan.num_agents + 1)).tolist()
+        steps = steps.tolist()
         for agent in range(plan.num_agents):
-            carrying = plan.carrying[agent]
+            loads = carrying[agent]
             positions = plan.positions[agent]
-            initial = int(carrying[0])
-            if initial != EMPTY_HANDED and not 1 <= initial <= num_products:
-                add(PlanViolation("product-range", agent, 0, f"unknown product {initial}"))
-            for t in range(plan.horizon - 1):
-                before, after = int(carrying[t]), int(carrying[t + 1])
+            if unknown[agent, 0]:
+                add(PlanViolation("product-range", agent, 0, f"unknown product {int(loads[0])}"))
+            for t in steps[bounds[agent] : bounds[agent + 1]]:
+                before, after = int(loads[t]), int(loads[t + 1])
                 vertex = int(positions[t])
                 if after != EMPTY_HANDED and not 1 <= after <= num_products:
                     if not add(
@@ -387,6 +407,28 @@ class PlanValidator:
                         )
                     ):
                         return
+
+
+def _swap_candidates(positions: np.ndarray) -> np.ndarray:
+    """Timesteps ``t`` at which two agents may swap across an edge into ``t + 1``.
+
+    A swap (u→v and v→u in one step) shares its ``(t, min, max)`` code with
+    its partner; so does a repeated move, which only over-flags.  Vertices are
+    offset by the smallest one so negative ids cannot alias; when the codes
+    could overflow, every timestep with a move is a candidate.
+    """
+    now, nxt = positions[:, :-1], positions[:, 1:]
+    agents, ticks = np.nonzero(now != nxt)
+    if len(ticks) < 2:
+        return np.zeros(0, dtype=np.int64)
+    u, v = now[agents, ticks], nxt[agents, ticks]
+    low = int(min(u.min(), v.min()))
+    span = int(max(u.max(), v.max())) - low + 1
+    if now.shape[1] * span * span >= 2**62:
+        return np.unique(ticks)
+    codes = (ticks * span + (np.minimum(u, v) - low)) * span + (np.maximum(u, v) - low)
+    codes.sort()
+    return np.unique(codes[1:][codes[1:] == codes[:-1]] // (span * span))
 
 
 def empty_plan(warehouse: Warehouse, num_agents: int, horizon: int) -> Plan:

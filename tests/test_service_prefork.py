@@ -229,3 +229,33 @@ class TestLifecycle:
             except OSError:
                 refused = True
         assert refused
+
+
+class TestSharedListener:
+    def test_accept_without_a_pending_connection_returns(self):
+        """Shared-listener workers all wake on one connection; the ones that
+        lose the accept race must return to their serve loop, or
+        ``shutdown()`` waits on a thread blocked in ``accept()`` forever."""
+        from http.server import BaseHTTPRequestHandler
+
+        from repro.service.prefork import _WorkerHTTPServer
+
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        httpd = _WorkerHTTPServer(listener, BaseHTTPRequestHandler)
+        returned = threading.Event()
+
+        def accept_once() -> None:
+            httpd._handle_request_noblock()
+            returned.set()
+
+        threading.Thread(target=accept_once, daemon=True).start()
+        try:
+            assert returned.wait(1.0), "accept() blocked on a listener with no connection"
+        finally:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
+            except OSError:
+                pass
+            httpd.server_close()
