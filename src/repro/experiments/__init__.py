@@ -9,8 +9,9 @@ presets" into a design-space exploration platform:
 * :mod:`repro.experiments.generator` — grid sweeps, seeded random sampling,
   and named preset suites (``smoke``, ``scaling``, ``mix``, ``routing``,
   ``resilience``);
-* :mod:`repro.experiments.runner`    — the batch orchestrator: spawn-based
-  worker pool, per-run timeouts, crash isolation, structured failure capture;
+* :mod:`repro.experiments.runner`    — the batch orchestrator: in-process or
+  on the service layer's worker pool, per-run timeouts, crash isolation,
+  structured failure capture;
 * :mod:`repro.experiments.store`     — :class:`RunRecord` and the append-only
   JSONL :class:`ResultStore`.
 

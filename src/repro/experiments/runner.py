@@ -2,35 +2,36 @@
 
 :func:`run_sweep` executes a list of scenarios through the full pipeline —
 map generation, flow synthesis, decomposition, realization, validation, and
-(optionally) the digital twin — either in-process or across a
-``multiprocessing`` worker pool.  Every scenario yields exactly one
+(optionally) the digital twin — either in-process or, with ``workers > 1``,
+on the self-healing :class:`~repro.service.pool.ServicePool` that also
+serves cold requests.  Every scenario yields exactly one
 :class:`~repro.experiments.store.RunRecord`:
 
 * a *successful* run carries the solution/simulation headline numbers;
 * an *infeasible* instance (stock-insufficient demand, unsatisfiable
   contracts) is a first-class result, not a crash;
 * a worker exception is captured as a structured ``error`` record (with the
-  traceback in the message) without aborting the batch;
+  traceback in the message) without aborting the batch, and so is a worker
+  that dies hard (``worker crashed: ...``);
 * runs exceeding the per-run timeout are recorded as ``timeout`` — the budget
   is enforced twice, as a POSIX ``SIGALRM`` interrupting the Python stages
-  and as the ILP backend's own native time limit (a signal cannot interrupt
-  the HiGHS C call).
+  (main thread only) and as the ILP backend's own native time limit (a
+  signal cannot interrupt the HiGHS C call).
 
-Workers are spawned (not forked) so runs are isolated and reproducible, and
-records are appended to the store in scenario order, so a sweep's output file
-is deterministic modulo wall-clock timings.
+Workers are spawned (not forked) by default so runs are isolated and
+reproducible, and records are appended to the store in scenario order, so a
+sweep's output file is deterministic modulo wall-clock timings.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .scenario import ScenarioError, ScenarioSpec, parse_service_time
@@ -50,8 +51,14 @@ class ScenarioTimeout(Exception):
 
 @contextmanager
 def _deadline(seconds: Optional[float]):
-    """Interrupt the enclosed block after ``seconds`` (POSIX only; no-op elsewhere)."""
-    if not seconds or not hasattr(signal, "SIGALRM"):
+    """Interrupt the enclosed block after ``seconds`` with ``SIGALRM``.
+
+    A no-op where the signal does not exist and off the main thread, where
+    Python cannot install a signal handler; the ILP backend's native time
+    limit still bounds the synthesis solve there.
+    """
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if not seconds or not on_main_thread or not hasattr(signal, "SIGALRM"):
         yield
         return
 
@@ -286,11 +293,11 @@ def run_sweep(
 ) -> List[RunRecord]:
     """Execute every scenario and return one record each, in scenario order.
 
-    With ``options.workers > 1`` the runs execute on a spawned process pool;
-    a worker crash (even an interpreter abort) is confined to its scenario and
-    surfaces as an ``error`` record.  Records are appended to ``store`` and
-    reported through ``progress`` as soon as each scenario's result is
-    available.
+    With ``options.workers > 1`` the runs execute on a
+    :class:`~repro.service.pool.ServicePool`; a worker crash (even an
+    interpreter abort) is confined to its scenario and surfaces as an
+    ``error`` record.  Records are appended to ``store`` and reported through
+    ``progress`` as soon as each scenario's result is available.
     """
     from ..obs import get_event_log, get_registry
 
@@ -319,6 +326,16 @@ def run_sweep(
             # channel users (the store only ever sees the plain record).
             get_registry().merge(obs_payload.get("metrics", {}))
         record = RunRecord.from_dict(document)
+        # The pool words the records of runs its workers could not finish.
+        verb, _, cause = record.message.partition(": ")
+        if record.status == STATUS_ERROR and verb in ("worker crashed", "worker failed"):
+            events.emit(
+                "run.crashed" if verb == "worker crashed" else "run.failed",
+                "sweep",
+                level="error",
+                message=cause[:200],
+                scenario_id=record.scenario_id,
+            )
         if store is not None:
             store.append(record)
         status_counts[record.status] = status_counts.get(record.status, 0) + 1
@@ -359,68 +376,17 @@ def run_sweep(
             ]
         )
 
-    def failure_document(spec: ScenarioSpec, error: BaseException, crashed: bool) -> Dict:
-        verb = "crashed" if crashed else "failed"
-        events.emit(
-            "run.crashed" if crashed else "run.failed",
-            "sweep",
-            level="error",
-            message=f"{type(error).__name__}: {error}"[:200],
-            scenario_id=spec.scenario_id,
-        )
-        return RunRecord(
-            spec=spec,
-            status=STATUS_ERROR,
-            message=f"worker {verb}: {type(error).__name__}: {error}",
-        ).to_dict()
+    from ..service.pool import ServicePool
 
-    records: List[RunRecord] = []
-    context = get_context(options.start_method)
-    pending = list(zip(specs, documents))
-    # A worker that dies hard (segfault, OOM kill) breaks the whole executor
-    # and *every* unfinished future raises BrokenExecutor — including healthy
-    # scenarios that happened to be in flight.  The main loop therefore never
-    # guesses which scenario crashed: on a broken pool it salvages the futures
-    # that did complete and re-runs each unfinished scenario in its own
-    # single-worker pool, where a second crash is unambiguously that
-    # scenario's own.
     with _events_env(options.events_path):
-        with ProcessPoolExecutor(
-            max_workers=min(options.workers, len(pending)), mp_context=context
-        ) as pool:
-            futures = [
-                pool.submit(execute_scenario, document, options.timeout_seconds, True)
-                for _, document in pending
-            ]
-            consumed = 0
-            pool_broke = False
-            for (spec, _), future in zip(pending, futures):
-                try:
-                    document = future.result()
-                except BrokenExecutor:
-                    pool_broke = True
-                    break
-                except Exception as error:  # submission/pickling failure
-                    document = failure_document(spec, error, crashed=False)
-                records.append(finalize(document))
-                consumed += 1
-        if not pool_broke:
-            return done(records)
-
-        # Exiting the `with` block above shut the broken pool down, so every
-        # future is now settled: completed, broken, or cancelled.
-        for (spec, document_in), future in list(zip(pending, futures))[consumed:]:
-            if not future.cancelled() and future.exception() is None:
-                records.append(finalize(future.result()))
-                continue
-            with ProcessPoolExecutor(max_workers=1, mp_context=context) as solo:
-                try:
-                    document = solo.submit(
-                        execute_scenario, document_in, options.timeout_seconds, True
-                    ).result()
-                except BrokenExecutor as error:
-                    document = failure_document(spec, error, crashed=True)
-                except Exception as error:
-                    document = failure_document(spec, error, crashed=False)
-            records.append(finalize(document))
+        pool = ServicePool(
+            workers=min(options.workers, len(documents)),
+            max_pending=len(documents),
+            start_method=options.start_method,
+        )
+        try:
+            futures = [pool.submit(document, options.timeout_seconds) for document in documents]
+            records = [finalize(future.result()) for future in futures]
+        finally:
+            pool.drain()
     return done(records)

@@ -16,8 +16,8 @@ The subsystem that turns the evaluator into a designer::
 * :mod:`~repro.optimize.search` — hill climbing and simulated annealing
   behind a tiny :class:`~repro.optimize.search.Optimizer` protocol.
 * :mod:`~repro.optimize.evaluate` — candidate scoring through the service
-  layer: ResultCache + ServicePool locally, a live SolveService in-process,
-  or a ``repro serve`` replica fleet over HTTP.
+  layer: a ResultCache inline or a private SolveService locally, a live
+  SolveService in-process, or a ``repro serve`` replica fleet over HTTP.
 * :mod:`~repro.optimize.campaign` — the seeded, resumable campaign loop
   with a JSONL trajectory log and optimize.* observability events.
 """

@@ -5,12 +5,16 @@ The optimizer never runs the pipeline itself — it hands candidate
 and gets :class:`~repro.experiments.store.RunRecord` results back, together
 with the cache tier that answered.  Three implementations share the protocol:
 
-* :class:`CachedEvaluator` — the local batch path: a content-addressed
+* :class:`CachedEvaluator` — the local batch path.  ``workers=0`` computes
+  misses inline behind a content-addressed
   :class:`~repro.service.cache.ResultCache` (optionally backed by a
-  persistent JSONL :class:`~repro.experiments.store.ResultStore`) in front
-  of either an in-process run or a :class:`~repro.service.pool.ServicePool`
-  worker fleet.  Re-visited candidates — a search walking back over its own
-  footsteps, or a resumed campaign — are cache hits and cost nothing.
+  persistent JSONL :class:`~repro.experiments.store.ResultStore`);
+  ``workers>=1`` hands each proposal batch to a private in-process
+  :class:`~repro.service.server.SolveService`, whose cache, single-flight
+  coalescing and self-healing :class:`~repro.service.pool.ServicePool`
+  compute the misses in parallel.  Re-visited candidates — a search walking
+  back over its own footsteps, or a resumed campaign — are cache hits and
+  cost nothing.
 * :class:`ServiceEvaluator` — wraps a live in-process
   :class:`~repro.service.server.SolveService` (the ``POST /optimize``
   endpoint's path): every candidate goes through ``resolve()`` and shares
@@ -34,9 +38,9 @@ from typing import Dict, List, Optional, Sequence
 from ..experiments.runner import execute_scenario
 from ..experiments.scenario import ScenarioSpec
 from ..experiments.store import STATUS_ERROR, ResultStore, RunRecord
-from ..service.api import ServiceRequest
+from ..service.api import ServiceRequest, ServiceResponse
 from ..service.cache import ResultCache
-from ..service.pool import PoolSaturated, ServicePool
+from ..service.server import ServiceConfig, SolveService
 
 
 @dataclass
@@ -59,14 +63,30 @@ def _error_record(spec: ScenarioSpec, message: str) -> RunRecord:
     return RunRecord(spec=spec, status=STATUS_ERROR, message=message)
 
 
+def _from_response(
+    spec: ScenarioSpec, response: ServiceResponse, started: float
+) -> Evaluation:
+    """The evaluation of one :class:`SolveService` response."""
+    if response.record is not None:
+        record = RunRecord.from_dict(response.record)
+    else:  # rejected (saturated/draining): a structured failure, not a crash
+        record = _error_record(spec, response.message or f"service {response.state}")
+    return Evaluation(
+        spec=spec,
+        record=record,
+        cache=response.cache,
+        seconds=time.perf_counter() - started,
+    )
+
+
 class CachedEvaluator:
-    """ResultCache-fronted evaluation, in-process or on a ServicePool.
+    """ResultCache-fronted evaluation, inline or on a private SolveService.
 
     ``workers=0`` computes misses inline (no subprocess spawn — the fast
-    mode for tests, examples and small campaigns); ``workers>=1`` fans
-    misses out over a spawned worker pool, and :meth:`evaluate_many`
-    submits a whole proposal batch before collecting, so a hill-climbing
-    step's neighbors compute in parallel.
+    mode for tests, examples and small campaigns); ``workers>=1`` resolves
+    each :meth:`evaluate_many` batch concurrently on an in-process
+    :class:`SolveService`, so a hill-climbing step's neighbors compute in
+    parallel and duplicate ids inside one batch coalesce onto one run.
     """
 
     def __init__(
@@ -78,102 +98,56 @@ class CachedEvaluator:
         start_method: str = "spawn",
         max_pending: int = 64,
     ):
-        store = ResultStore(store_path) if store_path else None
-        self.cache = ResultCache(capacity=cache_capacity, store=store, shards=4)
         self.timeout_seconds = timeout_seconds
-        self.pool: Optional[ServicePool] = None
-        if workers >= 1:
-            self.pool = ServicePool(
-                workers=workers, max_pending=max_pending, start_method=start_method
-            )
         self.evaluations = 0
-
-    # -- computation ------------------------------------------------------------
-    def _compute(self, spec: ScenarioSpec) -> RunRecord:
-        document = execute_scenario(spec.to_dict(), self.timeout_seconds)
-        document.pop("obs", None)
-        return RunRecord.from_dict(document)
-
-    def _complete(self, spec: ScenarioSpec, record: RunRecord) -> None:
-        flight, leader = self.cache.lease(spec.scenario_id)
-        if leader:
-            self.cache.complete(spec.scenario_id, flight, record)
+        self.service: Optional[SolveService] = None
+        if workers >= 1:
+            self.service = SolveService(
+                ServiceConfig(
+                    workers=workers,
+                    max_pending=max_pending,
+                    cache_capacity=cache_capacity,
+                    store_path=store_path,
+                    timeout_seconds=timeout_seconds,
+                    start_method=start_method,
+                    cache_shards=4,
+                    warm_up=False,
+                )
+            )
+            self.cache = self.service.cache
+        else:
+            store = ResultStore(store_path) if store_path else None
+            self.cache = ResultCache(capacity=cache_capacity, store=store, shards=4)
 
     def evaluate(self, spec: ScenarioSpec) -> Evaluation:
-        started = time.perf_counter()
-        self.evaluations += 1
-        record, tier = self.cache.get(spec.scenario_id)
-        if record is None:
-            if self.pool is None:
-                record = self._compute(spec)
-            else:
-                record = self._pool_result(self._pool_submit(spec), spec)
-            self._complete(spec, record)
-        return Evaluation(
-            spec=spec,
-            record=record,
-            cache=tier if tier != "miss" else "miss",
-            seconds=time.perf_counter() - started,
-        )
-
-    def _pool_submit(self, spec: ScenarioSpec):
-        try:
-            return self.pool.submit(spec.to_dict(), self.timeout_seconds)
-        except PoolSaturated as error:  # incl. PoolDraining
-            return error
-
-    def _pool_result(self, handle, spec: ScenarioSpec) -> RunRecord:
-        if isinstance(handle, PoolSaturated):
-            return _error_record(spec, f"pool rejected the candidate: {handle}")
-        try:
-            document = handle.result()
-            document.pop("obs", None)
-            return RunRecord.from_dict(document)
-        except Exception as error:  # noqa: BLE001 - a candidate never kills the campaign
-            return _error_record(
-                spec, f"worker failed: {type(error).__name__}: {error}"
-            )
+        return self.evaluate_many([spec])[0]
 
     def evaluate_many(self, specs: Sequence[ScenarioSpec]) -> List[Evaluation]:
-        """Evaluate a proposal batch; misses fan out over the pool at once.
-
-        Duplicate ids inside one batch compute once (the duplicates report
-        the ``coalesced`` tier, exactly like concurrent identical requests
-        against the serving layer would).
-        """
-        if self.pool is None:
-            return [self.evaluate(spec) for spec in specs]
+        """Evaluate a proposal batch, in order."""
+        self.evaluations += len(specs)
+        if self.service is None:
+            return [self._evaluate_inline(spec) for spec in specs]
         started = time.perf_counter()
-        evaluations: List[Optional[Evaluation]] = [None] * len(specs)
-        pending: Dict[str, List[int]] = {}
-        handles: Dict[str, object] = {}
-        for index, spec in enumerate(specs):
-            self.evaluations += 1
-            if spec.scenario_id in pending:
-                pending[spec.scenario_id].append(index)
-                continue
-            record, tier = self.cache.get(spec.scenario_id)
-            if record is not None:
-                evaluations[index] = Evaluation(
-                    spec=spec, record=record, cache=tier,
-                    seconds=time.perf_counter() - started,
-                )
-                continue
-            pending[spec.scenario_id] = [index]
-            handles[spec.scenario_id] = self._pool_submit(spec)
-        for scenario_id, indices in pending.items():
-            spec = specs[indices[0]]
-            record = self._pool_result(handles[scenario_id], spec)
-            self._complete(spec, record)
-            seconds = time.perf_counter() - started
-            for position, index in enumerate(indices):
-                evaluations[index] = Evaluation(
-                    spec=specs[index],
-                    record=record,
-                    cache="miss" if position == 0 else "coalesced",
-                    seconds=seconds,
-                )
-        return [evaluation for evaluation in evaluations if evaluation is not None]
+        # The service applies its own timeout_seconds to every request.
+        responses = self.service.resolve_batch([ServiceRequest(scenario=spec) for spec in specs])
+        return [
+            _from_response(spec, response, started)
+            for spec, response in zip(specs, responses)
+        ]
+
+    def _evaluate_inline(self, spec: ScenarioSpec) -> Evaluation:
+        started = time.perf_counter()
+        record, tier = self.cache.get(spec.scenario_id)
+        if record is None:
+            record = RunRecord.from_dict(
+                execute_scenario(spec.to_dict(), self.timeout_seconds)
+            )
+            flight, leader = self.cache.lease(spec.scenario_id)
+            if leader:
+                self.cache.complete(spec.scenario_id, flight, record)
+        return Evaluation(
+            spec=spec, record=record, cache=tier, seconds=time.perf_counter() - started
+        )
 
     # -- accounting / lifecycle -------------------------------------------------
     def stats(self) -> Dict[str, float]:
@@ -187,11 +161,38 @@ class CachedEvaluator:
         }
 
     def close(self) -> None:
-        if self.pool is not None:
-            self.pool.drain(timeout=60.0)
+        if self.service is not None:
+            self.service.drain(timeout=60.0)
 
 
-class ServiceEvaluator:
+class _TalliedEvaluator:
+    """Hit/miss accounting of the evaluators that only see responses."""
+
+    def __init__(self) -> None:
+        self.evaluations = 0
+        self._hits = 0
+
+    def _tally(self, evaluation: Evaluation) -> Evaluation:
+        self.evaluations += 1
+        self._hits += evaluation.served_from_cache
+        return evaluation
+
+    def evaluate_many(self, specs: Sequence[ScenarioSpec]) -> List[Evaluation]:
+        # Sequential: an in-server campaign shares the service's admission
+        # bound with ordinary traffic, and over a fleet the rotation spreads
+        # the cold solves while the replicas' shared store warms later ones.
+        return [self.evaluate(spec) for spec in specs]
+
+    def stats(self) -> Dict[str, float]:
+        return {
+            "evaluations": self.evaluations,
+            "hits": self._hits,
+            "misses": self.evaluations - self._hits,
+            "hit_rate": self._hits / self.evaluations if self.evaluations else 0.0,
+        }
+
+
+class ServiceEvaluator(_TalliedEvaluator):
     """Evaluate through a live in-process :class:`SolveService`.
 
     The ``POST /optimize`` endpoint runs its campaign on this evaluator, so
@@ -200,68 +201,34 @@ class ServiceEvaluator:
     """
 
     def __init__(self, service, timeout_seconds: Optional[float] = None):
+        super().__init__()
         self.service = service
         self.timeout_seconds = timeout_seconds
-        self.evaluations = 0
-        self._hits = 0
-        self._misses = 0
 
     def evaluate(self, spec: ScenarioSpec) -> Evaluation:
         started = time.perf_counter()
-        self.evaluations += 1
         request = ServiceRequest(scenario=spec, timeout_seconds=self.timeout_seconds)
-        response = self.service.resolve(request)
-        if response.record is not None:
-            record = RunRecord.from_dict(response.record)
-        else:  # rejected (saturated/draining): a structured failure, not a crash
-            record = _error_record(spec, response.message or f"service {response.state}")
-        evaluation = Evaluation(
-            spec=spec,
-            record=record,
-            cache=response.cache,
-            seconds=time.perf_counter() - started,
-        )
-        if evaluation.served_from_cache:
-            self._hits += 1
-        else:
-            self._misses += 1
-        return evaluation
-
-    def evaluate_many(self, specs: Sequence[ScenarioSpec]) -> List[Evaluation]:
-        return [self.evaluate(spec) for spec in specs]
-
-    def stats(self) -> Dict[str, float]:
-        lookups = self._hits + self._misses
-        return {
-            "evaluations": self.evaluations,
-            "hits": self._hits,
-            "misses": self._misses,
-            "hit_rate": self._hits / lookups if lookups else 0.0,
-        }
+        return self._tally(_from_response(spec, self.service.resolve(request), started))
 
     def close(self) -> None:  # the service's lifecycle belongs to its owner
         pass
 
 
-class RemoteEvaluator:
+class RemoteEvaluator(_TalliedEvaluator):
     """Evaluate against a fleet of ``repro serve`` replicas, round-robin."""
 
     def __init__(self, urls: Sequence[str], timeout: float = 300.0):
         from ..service.client import RoundRobinClient, ServiceClientError
 
+        super().__init__()
         self._client_error = ServiceClientError
         self.client = RoundRobinClient(urls, timeout=timeout)
-        self.evaluations = 0
-        self._hits = 0
-        self._misses = 0
 
     def evaluate(self, spec: ScenarioSpec) -> Evaluation:
         started = time.perf_counter()
-        self.evaluations += 1
-        request = ServiceRequest(scenario=spec)
         cache = ""
         try:
-            status, view = self.client.solve(request)
+            status, view = self.client.solve(ServiceRequest(scenario=spec))
             document = view.document
             if status < 400 and isinstance(document.get("record"), dict):
                 record = RunRecord.from_dict(document["record"])
@@ -274,29 +241,12 @@ class RemoteEvaluator:
                 )
         except self._client_error as error:
             record = _error_record(spec, f"replica unreachable: {error}")
-        evaluation = Evaluation(
-            spec=spec, record=record, cache=cache,
-            seconds=time.perf_counter() - started,
+        return self._tally(
+            Evaluation(
+                spec=spec, record=record, cache=cache,
+                seconds=time.perf_counter() - started,
+            )
         )
-        if evaluation.served_from_cache:
-            self._hits += 1
-        else:
-            self._misses += 1
-        return evaluation
-
-    def evaluate_many(self, specs: Sequence[ScenarioSpec]) -> List[Evaluation]:
-        # Sequential over the fleet: the rotation spreads the cold solves,
-        # and the replicas' shared store warms every subsequent lookup.
-        return [self.evaluate(spec) for spec in specs]
-
-    def stats(self) -> Dict[str, float]:
-        lookups = self._hits + self._misses
-        return {
-            "evaluations": self.evaluations,
-            "hits": self._hits,
-            "misses": self._misses,
-            "hit_rate": self._hits / lookups if lookups else 0.0,
-        }
 
     def close(self) -> None:
         self.client.close()

@@ -9,8 +9,9 @@ Turns the one-shot pipeline into a long-lived service traffic can hit:
   ``scenario_id``: in-memory LRU + persistent JSONL tier
   (:class:`~repro.experiments.store.ResultStore`) + single-flight
   coalescing of concurrent identical requests;
-* :mod:`repro.service.pool`   — bounded worker pool over the spawn-based
-  pipeline runner, with per-request timeouts and explicit backpressure;
+* :mod:`repro.service.pool`   — the one process pool that runs scenarios
+  (cold requests, sweeps, local optimize workers): explicit backpressure,
+  per-request timeouts, and worker crashes confined to their scenario;
 * :mod:`repro.service.server` — the transport-independent
   :class:`SolveService` core and the ``ThreadingHTTPServer`` front end
   (submit/status/result/health/metrics endpoints, NDJSON batch streaming,

@@ -54,7 +54,6 @@ import threading
 import time
 import uuid
 from collections import Counter, deque
-from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -119,9 +118,6 @@ class ServiceConfig:
     #: Spawn the worker processes at startup instead of on first request.
     warm_up: bool = True
     start_method: str = "spawn"
-    #: Retained for configuration compatibility; latency percentiles now come
-    #: from fixed-bucket histograms (constant memory), not a reservoir.
-    reservoir: int = 4096
     #: Structured events retained in memory (the SSE replay / dashboard tail).
     events_capacity: int = 2048
     #: Optional JSONL sink every event appends to (flock-safe).
@@ -452,7 +448,7 @@ class SolveService:
                     status=STATUS_TIMEOUT,
                     message=f"worker did not answer within the {backstop:g}s backstop",
                 )
-            except Exception as error:  # noqa: BLE001 - incl. BrokenExecutor
+            except Exception as error:  # noqa: BLE001 - e.g. a malformed record
                 record = RunRecord(
                     spec=request.scenario,
                     status=STATUS_ERROR,
@@ -879,6 +875,7 @@ class SolveService:
             "repro_cache_hit_rate": cache["hit_rate"],
             "repro_pool_in_flight": pool["in_flight"],
             "repro_pool_workers": pool["workers"],
+            "repro_pool_workers_lost": pool["worker_lost"],
             "repro_pool_saturation": pool["in_flight"] / capacity,
         }
         for name, value in gauges.items():

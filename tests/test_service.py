@@ -180,7 +180,7 @@ class FakePool:
         self.futures = []
         self.workers = 1
         self.max_pending = capacity - 1
-        self.stats = {"submitted": 0, "completed": 0, "rejected": 0}
+        self.stats = {"submitted": 0, "completed": 0, "rejected": 0, "worker_lost": 0}
         self._draining = False
 
     @property
