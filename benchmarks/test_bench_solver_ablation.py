@@ -1,10 +1,9 @@
-"""Experiments E10 / E12 (ablations): solver backend and objective choice.
+"""Experiment E10 (ablation): objective choice and model size.
 
 The paper solves the flow-synthesis constraints with Z3; we reduce them to a
-MILP.  These ablations quantify how much of the methodology's speed comes from
-the model formulation vs. the solver engine (HiGHS vs. the pure-Python
-branch-and-bound backends) and what the objective choice costs (pure
-feasibility vs. minimizing the number of agents).
+MILP and solve it with HiGHS.  These ablations measure what the objective
+choice costs (pure feasibility vs. minimizing the number of agents) and how
+the model grows with the number of products.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.warehouse import Workload
 
 from .conftest import get_designed
 
-BACKENDS = ["highs", "bnb", "simplex-bnb"]
 OBJECTIVES = ["none", "min_agents", "min_carrying"]
 
 
@@ -26,26 +24,6 @@ def toy():
     designed = toy_warehouse()
     workload = Workload.uniform(designed.warehouse.catalog, 8)
     return designed, workload
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_ablation(benchmark, toy, backend):
-    """Flow synthesis with different ILP engines on the toy instance."""
-    designed, workload = toy
-
-    def run():
-        return synthesize_flows(
-            designed.traffic_system,
-            workload,
-            horizon=600,
-            options=SynthesisOptions(backend=backend),
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=2)
-    assert result.succeeded
-    assert result.flow_set.check_conservation() == []
-    benchmark.extra_info["num_variables"] = result.num_variables
-    benchmark.extra_info["num_agents"] = result.flow_set.num_agents
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)

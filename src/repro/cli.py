@@ -56,6 +56,7 @@ import threading
 import time
 from typing import List, Optional, Sequence
 
+from . import __version__
 from .analysis import (
     BenchmarkRow,
     compare_sweeps,
@@ -161,9 +162,7 @@ def _solve_preset(args: argparse.Namespace):
     exceeding stock); returns ``(designed, workload, solver, solution)``.
     """
     designed = _designed(args.map)
-    options = SolverOptions(
-        synthesis=SynthesisOptions(backend=args.backend, objective=args.objective)
-    )
+    options = SolverOptions(synthesis=SynthesisOptions(objective=args.objective))
     solver = WSPSolver(designed.traffic_system, options)
     try:
         workload = Workload.uniform(designed.warehouse.catalog, args.units)
@@ -760,9 +759,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     else:
         designed = _designed(args.map)
-        options = SolverOptions(
-            synthesis=SynthesisOptions(backend=args.backend, objective=args.objective)
-        )
+        options = SolverOptions(synthesis=SynthesisOptions(objective=args.objective))
         solver = WSPSolver(designed.traffic_system, options)
         try:
             workload = Workload.uniform(designed.warehouse.catalog, args.units)
@@ -833,25 +830,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _package_version() -> str:
-    """The installed distribution's version, falling back to the source tree's."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        return version("repro-warehouse-codesign")
-    except PackageNotFoundError:
-        from . import __version__
-
-        return __version__
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Contract-based co-design of warehouse traffic systems (DATE 2023 reproduction)",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_package_version()}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -867,7 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument("--map", required=True, help="map preset name")
     solve_parser.add_argument("--units", type=int, required=True, help="total workload units")
     solve_parser.add_argument("--horizon", type=int, default=3600, help="timestep limit T")
-    solve_parser.add_argument("--backend", default="highs", help="ILP backend (highs, bnb, simplex-bnb)")
     solve_parser.add_argument(
         "--objective", default="min_agents", choices=("none", "min_agents", "min_carrying")
     )
@@ -881,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument("--units", type=int, required=True, help="total workload units")
     simulate_parser.add_argument("--horizon", type=int, default=3600, help="timestep limit T")
     simulate_parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    simulate_parser.add_argument("--backend", default="highs", help="ILP backend")
     simulate_parser.add_argument(
         "--objective", default="min_agents", choices=("none", "min_agents", "min_carrying")
     )
@@ -1286,7 +1269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--units", type=int, default=16, help="total workload units (solve/simulate)"
     )
     profile_parser.add_argument("--horizon", type=int, default=1500, help="timestep limit T")
-    profile_parser.add_argument("--backend", default="highs", help="ILP backend")
     profile_parser.add_argument(
         "--objective", default="min_agents", choices=("none", "min_agents", "min_carrying")
     )

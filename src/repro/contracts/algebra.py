@@ -14,8 +14,8 @@ to linear-programming feasibility queries:
 
 The checks treat integer variables as reals (a sound relaxation for
 entailment/refinement: if the relaxed query says "entailed", the integer
-restriction is also entailed).  Satisfiability checks can optionally enforce
-integrality by using a MILP backend.
+restriction is also entailed).  :func:`is_satisfiable` enforces integrality
+when called with ``integer=True``.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ def _model_from_constraints(
 
 
 def is_satisfiable(
-    constraints: Iterable[LinearConstraint],
-    backend: str = "highs",
-    integer: bool = False,
+    constraints: Iterable[LinearConstraint], integer: bool = False
 ) -> bool:
     """True when the conjunction of ``constraints`` admits a behaviour.
 
@@ -56,7 +54,7 @@ def is_satisfiable(
     the rational relaxation is checked (cheaper, sufficient for algebra checks).
     """
     model = _model_from_constraints(constraints, "satisfiability", not integer)
-    result = solve_model(model, backend=backend)
+    result = solve_model(model)
     return result.status.has_solution
 
 
@@ -82,7 +80,6 @@ def negation_constraints(
 def entails(
     premises: Iterable[LinearConstraint],
     conclusion: LinearConstraint,
-    backend: str = "highs",
     strictness: float = DEFAULT_STRICTNESS,
 ) -> bool:
     """Semantic entailment ``premises ⊨ conclusion`` over the rational relaxation.
@@ -94,19 +91,17 @@ def entails(
     """
     premises = tuple(premises)
     for case in negation_constraints(conclusion, strictness):
-        if is_satisfiable(premises + case, backend=backend):
+        if is_satisfiable(premises + case):
             return False
     return True
 
 
 def entails_all(
-    premises: Iterable[LinearConstraint],
-    conclusions: Iterable[LinearConstraint],
-    backend: str = "highs",
+    premises: Iterable[LinearConstraint], conclusions: Iterable[LinearConstraint]
 ) -> bool:
     """``premises ⊨ c`` for every ``c`` in ``conclusions``."""
     premises = tuple(premises)
-    return all(entails(premises, c, backend=backend) for c in conclusions)
+    return all(entails(premises, c) for c in conclusions)
 
 
 @dataclass
@@ -121,11 +116,7 @@ class RefinementReport:
         return self.holds
 
 
-def refines(
-    refined: AGContract,
-    abstract: AGContract,
-    backend: str = "highs",
-) -> RefinementReport:
+def refines(refined: AGContract, abstract: AGContract) -> RefinementReport:
     """Check contract refinement ``refined ⪯ abstract``.
 
     In the conjunctive fragment this is:
@@ -137,13 +128,11 @@ def refines(
       each ``g`` in ``G_abstract``.
     """
     failed_assumptions = tuple(
-        a
-        for a in refined.assumptions
-        if not entails(abstract.assumptions, a, backend=backend)
+        a for a in refined.assumptions if not entails(abstract.assumptions, a)
     )
     premises = tuple(abstract.assumptions) + tuple(refined.guarantees)
     failed_guarantees = tuple(
-        g for g in abstract.guarantees if not entails(premises, g, backend=backend)
+        g for g in abstract.guarantees if not entails(premises, g)
     )
     return RefinementReport(
         holds=not failed_assumptions and not failed_guarantees,
@@ -152,19 +141,17 @@ def refines(
     )
 
 
-def is_consistent(contract: AGContract, backend: str = "highs") -> bool:
+def is_consistent(contract: AGContract) -> bool:
     """A contract is consistent when its guarantees admit at least one behaviour."""
-    return is_satisfiable(contract.guarantees, backend=backend)
+    return is_satisfiable(contract.guarantees)
 
 
-def is_compatible(contract: AGContract, backend: str = "highs") -> bool:
+def is_compatible(contract: AGContract) -> bool:
     """A contract is compatible when its assumptions admit at least one behaviour."""
-    return is_satisfiable(contract.assumptions, backend=backend)
+    return is_satisfiable(contract.assumptions)
 
 
-def check_composition_consistency(
-    contracts: Sequence[AGContract], backend: str = "highs"
-) -> Optional[str]:
+def check_composition_consistency(contracts: Sequence[AGContract]) -> Optional[str]:
     """Sanity-check a set of contracts before synthesis.
 
     Returns ``None`` when the composition of all contracts is consistent and
@@ -175,14 +162,14 @@ def check_composition_consistency(
     if not contracts:
         return None
     for contract in contracts:
-        if not is_consistent(contract, backend=backend):
+        if not is_consistent(contract):
             return f"contract {contract.name!r} is inconsistent (unsatisfiable guarantees)"
-        if not is_compatible(contract, backend=backend):
+        if not is_compatible(contract):
             return f"contract {contract.name!r} is incompatible (unsatisfiable assumptions)"
     composed = contracts[0]
     for contract in contracts[1:]:
         composed = composed.compose(contract)
-    if not is_satisfiable(composed.all_constraints(), backend=backend):
+    if not is_satisfiable(composed.all_constraints()):
         return "the composed contract admits no behaviour (assumptions ∧ guarantees unsatisfiable)"
     return None
 
@@ -191,7 +178,6 @@ def strongest_bound(
     constraints: Iterable[LinearConstraint],
     expr: LinearExpr,
     sense: str = "max",
-    backend: str = "highs",
 ) -> Optional[float]:
     """Tightest bound on ``expr`` implied by ``constraints`` (None if unbounded).
 
@@ -208,7 +194,7 @@ def strongest_bound(
         expr.constant,
     )
     model.set_objective(relaxed_expr, sense=sense)
-    result = solve_model(model, backend=backend)
+    result = solve_model(model)
     if result.status == SolveStatus.UNBOUNDED:
         return None
     if not result.status.has_solution:

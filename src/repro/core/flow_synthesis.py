@@ -4,10 +4,10 @@ The synthesis stage builds the traffic-system contract (composition of all
 component contracts) and the workload contract, conjoins them, adds the
 integrality-bridge coupling constraints (continuous per-product rates must sum
 to integer agent-slot counts — see :mod:`repro.core.flow_variables`), and hands
-the resulting model to an ILP backend (the paper uses Z3 over linear real
-arithmetic; here HiGHS by default).  The satisfying assignment is packaged as
-an :class:`AgentFlowSet`, the object the decomposition stage (Sec. IV-E)
-consumes.
+the resulting model to HiGHS through :func:`repro.solver.solve_model` (the
+paper uses Z3 over linear real arithmetic).  The satisfying assignment is
+packaged as an :class:`AgentFlowSet`, the object the decomposition stage
+(Sec. IV-E) consumes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class SynthesisOptions:
     verbatim.
     """
 
-    backend: str = "highs"
     objective: str = "min_agents"
     cycle_time_factor: int = 2
     warmup_periods: Optional[int] = None
@@ -233,9 +232,7 @@ def synthesize_flows(
     conjunction = system_contract & demand_contract
 
     if options.check_contracts:
-        message = check_composition_consistency(
-            [system_contract, demand_contract], backend=options.backend
-        )
+        message = check_composition_consistency([system_contract, demand_contract])
         if message is not None:
             return FlowSynthesisResult(
                 status=SolveStatus.INFEASIBLE,
@@ -255,7 +252,7 @@ def synthesize_flows(
     build_seconds = time.perf_counter() - build_start
 
     solve_start = time.perf_counter()
-    result = solve_model(model, backend=options.backend, time_limit=options.time_limit)
+    result = solve_model(model, time_limit=options.time_limit)
     solve_seconds = time.perf_counter() - solve_start
 
     flow_set = None

@@ -18,7 +18,7 @@ synthesis) alongside the full end-to-end time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports core)
@@ -183,17 +183,9 @@ class WSPSolver:
         last_message = ""
         synthesis_result: Optional[FlowSynthesisResult] = None
         while factor <= self.options.max_cycle_time_factor:
-            base = self.options.synthesis
-            synthesis_options = SynthesisOptions(
-                backend=base.backend,
-                objective=base.objective,
-                cycle_time_factor=factor,
-                warmup_periods=base.warmup_periods,
-                time_limit=base.time_limit,
-                check_contracts=base.check_contracts,
-            )
+            synthesis_options = replace(self.options.synthesis, cycle_time_factor=factor)
             start = time.perf_counter()
-            with span("solver.synthesis", backend=base.backend, cycle_time_factor=factor):
+            with span("solver.synthesis", cycle_time_factor=factor):
                 synthesis_result = synthesize_flows(
                     self.traffic_system, instance.workload, instance.horizon, synthesis_options
                 )

@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .scenario import ScenarioError, ScenarioSpec, parse_service_time
+from .scenario import SOLVER_BACKEND, ScenarioError, ScenarioSpec, parse_service_time
 from .store import (
     STATUS_ERROR,
     STATUS_INFEASIBLE,
@@ -223,7 +223,6 @@ def execute_scenario(
 
             options = SolverOptions(
                 synthesis=SynthesisOptions(
-                    backend=spec.backend,
                     objective=spec.objective,
                     # SIGALRM cannot interrupt the native HiGHS call, so the
                     # time budget is also handed to the ILP backend itself.
@@ -263,7 +262,9 @@ def execute_scenario(
     except ScenarioTimeout as error:
         return record(STATUS_TIMEOUT, str(error))
     except (ScenarioError, WarehouseError, WorkloadError, TrafficError, FlowSynthesisError) as error:
-        return record(STATUS_INFEASIBLE, str(error))
+        # A spec naming a retired solver is a tool error, not an infeasible design.
+        status = STATUS_INFEASIBLE if spec.backend == SOLVER_BACKEND else STATUS_ERROR
+        return record(status, str(error))
     except Exception:
         return record(STATUS_ERROR, traceback.format_exc(limit=8).strip())
 

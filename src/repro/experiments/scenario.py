@@ -34,6 +34,9 @@ from ..warehouse import WarehouseError, Workload
 
 SCENARIO_KINDS = ("fulfillment", "sorting")
 WORKLOAD_MIXES = ("uniform", "zipf")
+#: The one solver backend.  ``backend`` stays a field only because it is part
+#: of the ``scenario_id`` payload; every other value is rejected.
+SOLVER_BACKEND = "highs"
 
 
 class ScenarioError(ValueError):
@@ -93,7 +96,7 @@ class ScenarioSpec:
     zipf_exponent: float = 1.1
     horizon: int = 1000
     # -- solver -----------------------------------------------------------------
-    backend: str = "highs"
+    backend: str = SOLVER_BACKEND
     objective: str = "min_agents"
     # -- simulation (stage 6) ---------------------------------------------------
     simulate: bool = True
@@ -197,7 +200,12 @@ class ScenarioSpec:
 
     # -- validation -------------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` when the spec cannot describe a map."""
+        """Raise :class:`ScenarioError` when the spec cannot describe a map or solver."""
+        if self.backend != SOLVER_BACKEND:
+            raise ScenarioError(
+                f"unsupported solver backend {self.backend!r}; "
+                f"the only accepted value is {SOLVER_BACKEND!r}"
+            )
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(
                 f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}"

@@ -6,20 +6,13 @@ over bounded non-negative integer flows, the problem is exactly a
 mixed-integer linear feasibility/optimization problem.  This package provides:
 
 * :mod:`repro.solver.expressions` — variables, affine expressions, constraints;
-* :mod:`repro.solver.model` — the backend-independent :class:`ConstraintModel`;
-* :mod:`repro.solver.scipy_backend` — HiGHS (default engine);
-* :mod:`repro.solver.branch_and_bound` — self-contained branch-and-bound;
-* :mod:`repro.solver.simplex` — dense two-phase simplex used by the above and
-  by the contract algebra's entailment checks.
-
-The convenience entry point is :func:`solve_model`.
+* :mod:`repro.solver.model` — the :class:`ConstraintModel` container;
+* :mod:`repro.solver.scipy_backend` — :func:`solve_model`, which hands every
+  model (an LP when no variable is integer) to HiGHS.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .branch_and_bound import BnBOptions, solve_branch_and_bound
 from .expressions import (
     EQ,
     GE,
@@ -30,63 +23,16 @@ from .expressions import (
     Variable,
     variables_of,
 )
-from .model import MAXIMIZE, MINIMIZE, ConstraintModel, ModelError, StandardArrays
+from .model import MAXIMIZE, MINIMIZE, ConstraintModel, ModelError
 from .result import SolveResult, SolveStatus
-from .scipy_backend import solve_with_scipy
-from .simplex import LPSolution, solve_lp
-
-#: Recognised backend names for :func:`solve_model`.
-BACKENDS = ("auto", "highs", "bnb", "simplex-bnb")
-
-
-def solve_model(
-    model: ConstraintModel,
-    backend: str = "auto",
-    time_limit: Optional[float] = None,
-    **options,
-) -> SolveResult:
-    """Solve a :class:`ConstraintModel` with the requested backend.
-
-    Parameters
-    ----------
-    model:
-        The model to solve.
-    backend:
-        ``"highs"`` — HiGHS via scipy (default for ``"auto"``);
-        ``"bnb"`` — pure-Python branch-and-bound with scipy LP relaxations;
-        ``"simplex-bnb"`` — branch-and-bound with the internal tableau simplex
-        (fully self-contained, slowest; used for ablations and tiny models).
-    time_limit:
-        Wall-clock limit in seconds (supported by every backend).
-    options:
-        Backend-specific keyword options (e.g. ``max_nodes`` or
-        ``first_solution`` for the branch-and-bound backends,
-        ``mip_rel_gap`` for HiGHS).
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend in ("auto", "highs"):
-        return solve_with_scipy(model, time_limit=time_limit,
-                                mip_rel_gap=options.get("mip_rel_gap"))
-    engine = "scipy" if backend == "bnb" else "simplex"
-    bnb_options = BnBOptions(
-        max_nodes=int(options.get("max_nodes", 20_000)),
-        time_limit=time_limit,
-        lp_engine=engine,
-        first_solution=bool(options.get("first_solution", False)),
-    )
-    return solve_branch_and_bound(model, bnb_options)
-
+from .scipy_backend import solve_model
 
 __all__ = [
-    "BACKENDS",
-    "BnBOptions",
     "ConstraintModel",
     "EQ",
     "ExpressionError",
     "GE",
     "LE",
-    "LPSolution",
     "LinearConstraint",
     "LinearExpr",
     "MAXIMIZE",
@@ -94,11 +40,7 @@ __all__ = [
     "ModelError",
     "SolveResult",
     "SolveStatus",
-    "StandardArrays",
     "Variable",
-    "solve_branch_and_bound",
-    "solve_lp",
     "solve_model",
-    "solve_with_scipy",
     "variables_of",
 ]

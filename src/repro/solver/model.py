@@ -1,31 +1,19 @@
-"""Constraint model: a backend-independent container for ILP/LP problems.
+"""Constraint model: the container for ILP/LP problems.
 
 A :class:`ConstraintModel` collects variables, linear constraints and an
-optional linear objective, and can export itself as dense/sparse numpy arrays
-for the solver backends (:mod:`repro.solver.scipy_backend`,
-:mod:`repro.solver.branch_and_bound`).
+optional linear objective; :func:`repro.solver.solve_model` exports it as
+sparse arrays for HiGHS.
 
-The model is the meeting point between the contract layer and the solvers:
-:func:`repro.core.flow_synthesis.build_flow_model` compiles the conjunction of
+The model is the meeting point between the contract layer and the solver:
+:func:`repro.core.flow_synthesis.synthesize_flows` compiles the conjunction of
 the traffic-system contract and the workload contract into one of these models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-import numpy as np
-
-from .expressions import (
-    EQ,
-    GE,
-    LE,
-    ExpressionError,
-    LinearConstraint,
-    LinearExpr,
-    Variable,
-)
+from .expressions import ExpressionError, LinearConstraint, LinearExpr, Variable
 
 #: Objective senses accepted by :meth:`ConstraintModel.set_objective`.
 MINIMIZE = "min"
@@ -34,40 +22,6 @@ MAXIMIZE = "max"
 
 class ModelError(ValueError):
     """Raised for structural problems in a :class:`ConstraintModel`."""
-
-
-@dataclass
-class StandardArrays:
-    """Dense array form of a model, as consumed by the backends.
-
-    The model ``minimize c @ x`` subject to ``A_ub @ x <= b_ub``,
-    ``A_eq @ x == b_eq`` and ``bounds[i][0] <= x[i] <= bounds[i][1]``.
-    ``integrality[i]`` is 1 for integer variables and 0 otherwise.
-    """
-
-    c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    bounds: List[Tuple[Optional[float], Optional[float]]]
-    integrality: np.ndarray
-    variables: List[Variable]
-    objective_offset: float = 0.0
-    objective_sign: float = 1.0
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.variables)
-
-    def assignment_from_vector(self, x: Sequence[float]) -> Dict[Variable, float]:
-        """Map a solution vector back onto the model's variables."""
-        return {var: float(value) for var, value in zip(self.variables, x)}
-
-    def objective_value(self, x: Sequence[float]) -> float:
-        """Original-sense objective value of a solution vector."""
-        raw = float(np.dot(self.c, np.asarray(x, dtype=float))) + self.objective_offset
-        return self.objective_sign * raw
 
 
 class ConstraintModel:
@@ -216,67 +170,6 @@ class ConstraintModel:
 
     def objective_value(self, assignment: Mapping[Variable, float]) -> float:
         return self._objective.evaluate(assignment)
-
-    # -- export -------------------------------------------------------------
-    def to_standard_arrays(self) -> StandardArrays:
-        """Export the model to the dense array form used by the backends.
-
-        The export always produces a *minimization*: for ``'max'`` objectives
-        the cost vector is negated and :attr:`StandardArrays.objective_sign`
-        records the flip so results can be reported in the original sense.
-        """
-        variables = list(self._variables)
-        index = {var: i for i, var in enumerate(variables)}
-        n = len(variables)
-
-        sign = 1.0 if self._objective_sense == MINIMIZE else -1.0
-        c = np.zeros(n, dtype=float)
-        for var, coeff in self._objective.coeffs.items():
-            c[index[var]] = sign * coeff
-        offset = sign * self._objective.constant
-
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
-        for constraint in self._constraints:
-            row = np.zeros(n, dtype=float)
-            for var, coeff in constraint.expr.coeffs.items():
-                row[index[var]] = coeff
-            rhs = -constraint.expr.constant
-            if constraint.sense == LE:
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-            elif constraint.sense == GE:
-                ub_rows.append(-row)
-                ub_rhs.append(-rhs)
-            elif constraint.sense == EQ:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
-            else:  # pragma: no cover - guarded by LinearConstraint
-                raise ModelError(f"unknown sense {constraint.sense!r}")
-
-        a_ub = np.vstack(ub_rows) if ub_rows else np.zeros((0, n))
-        b_ub = np.asarray(ub_rhs, dtype=float)
-        a_eq = np.vstack(eq_rows) if eq_rows else np.zeros((0, n))
-        b_eq = np.asarray(eq_rhs, dtype=float)
-
-        bounds = [(None if v.lb is None else float(v.lb),
-                   None if v.ub is None else float(v.ub)) for v in variables]
-        integrality = np.array([1 if v.integer else 0 for v in variables], dtype=int)
-
-        return StandardArrays(
-            c=c,
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            integrality=integrality,
-            variables=variables,
-            objective_offset=offset,
-            objective_sign=sign,
-        )
 
     def relaxed(self) -> "ConstraintModel":
         """A copy of this model with every integrality requirement dropped."""

@@ -1,10 +1,10 @@
-"""Solve status and result types shared by every solver backend."""
+"""Solve status and result types returned by :func:`repro.solver.solve_model`."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from .expressions import Variable
 
@@ -15,11 +15,11 @@ class SolveStatus(enum.Enum):
     ``OPTIMAL``     — an optimal (or, for feasibility problems, feasible) solution
                       was found and proven.
     ``FEASIBLE``    — a feasible solution was found but optimality was not proven
-                      (e.g. node/time limit hit with an incumbent).
+                      (the time limit hit with an incumbent).
     ``INFEASIBLE``  — the model was proven infeasible.
     ``UNBOUNDED``   — the objective is unbounded below.
-    ``LIMIT``       — a node/iteration/time limit was hit with no incumbent.
-    ``ERROR``       — the backend failed for another reason.
+    ``LIMIT``       — an iteration/time limit was hit with no incumbent.
+    ``ERROR``       — HiGHS failed for another reason.
     """
 
     OPTIMAL = "optimal"
@@ -48,10 +48,10 @@ class SolveResult:
     values:
         Mapping from :class:`Variable` to its value in the returned assignment.
     stats:
-        Backend-specific counters (simplex iterations, branch-and-bound nodes,
-        wall-clock seconds, ...).  Keys are plain strings.
+        Solver counters keyed by plain strings; ``seconds`` is the wall-clock
+        time of the HiGHS call.
     message:
-        Optional human-readable diagnostic from the backend.
+        Optional human-readable diagnostic from HiGHS.
     """
 
     status: SolveStatus
@@ -78,25 +78,3 @@ class SolveResult:
     def as_named_dict(self) -> Dict[str, float]:
         """Solution keyed by variable name (handy for serialization/tests)."""
         return {var.name: value for var, value in self.values.items()}
-
-    @staticmethod
-    def infeasible(message: str = "") -> "SolveResult":
-        return SolveResult(status=SolveStatus.INFEASIBLE, message=message)
-
-    @staticmethod
-    def error(message: str) -> "SolveResult":
-        return SolveResult(status=SolveStatus.ERROR, message=message)
-
-    @staticmethod
-    def from_assignment(
-        assignment: Mapping[Variable, float],
-        objective: Optional[float],
-        status: SolveStatus = SolveStatus.OPTIMAL,
-        **stats: float,
-    ) -> "SolveResult":
-        return SolveResult(
-            status=status,
-            objective=objective,
-            values=dict(assignment),
-            stats=dict(stats),
-        )

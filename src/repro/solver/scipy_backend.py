@@ -1,8 +1,9 @@
-"""HiGHS-backed solver (via :mod:`scipy.optimize`) — the default MILP/LP engine.
+"""HiGHS via :func:`scipy.optimize.milp`: the one engine that solves a model.
 
 The paper solves its flow-synthesis constraints with Z3 over linear real
 arithmetic; we formulate them as a mixed-integer linear program and hand them
-to HiGHS, which is the fastest engine available offline.  Sparse constraint
+to HiGHS, which is the fastest engine available offline.  A model without
+integer variables is simply an LP and takes the same path.  Sparse constraint
 matrices are used so the paper-scale instances (tens of thousands of flow
 variables on the Fulfillment-2 map) stay well within laptop memory.
 """
@@ -15,13 +16,16 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint as SciLinearConstraint
-from scipy.optimize import linprog, milp
+from scipy.optimize import milp
 
 from .expressions import EQ, GE, LE
 from .model import ConstraintModel
 from .result import SolveResult, SolveStatus
 
 _INF = float("inf")
+
+#: ``milp`` status codes without a usable assignment.
+_STATUS = {1: SolveStatus.LIMIT, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
 
 
 def _build_sparse(model: ConstraintModel):
@@ -94,22 +98,17 @@ def _trivial_result(model: ConstraintModel) -> Optional[SolveResult]:
                 message=f"constant constraint violated: {constraint!r}",
             )
     return SolveResult(
-        status=SolveStatus.OPTIMAL,
-        objective=model.objective.constant
-        * (1.0 if model.objective_sense == "min" else 1.0),
-        values={},
+        status=SolveStatus.OPTIMAL, objective=model.objective.constant, values={}
     )
 
 
-def solve_with_scipy(
-    model: ConstraintModel,
-    time_limit: Optional[float] = None,
-    mip_rel_gap: Optional[float] = None,
+def solve_model(
+    model: ConstraintModel, time_limit: Optional[float] = None
 ) -> SolveResult:
-    """Solve ``model`` with HiGHS.
+    """Solve ``model`` with HiGHS through :func:`scipy.optimize.milp`.
 
-    Uses :func:`scipy.optimize.milp` when the model has integer variables and
-    :func:`scipy.optimize.linprog` otherwise.  ``time_limit`` is in seconds.
+    ``time_limit`` is in seconds; a solve that hits it returns ``FEASIBLE``
+    with its incumbent, or ``LIMIT`` when it has none.
     """
     trivial = _trivial_result(model)
     if trivial is not None:
@@ -127,107 +126,30 @@ def solve_with_scipy(
         offset,
     ) = _build_sparse(model)
     start = time.perf_counter()
-
-    has_integers = bool(integrality.any())
-    if has_integers:
-        constraints = (
-            SciLinearConstraint(matrix, row_lb, row_ub)
-            if model.num_constraints
-            else ()
-        )
-        options = {}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
-        if mip_rel_gap is not None:
-            options["mip_rel_gap"] = float(mip_rel_gap)
-        res = milp(
-            c=c,
-            constraints=constraints,
-            bounds=Bounds(lb, ub),
-            integrality=integrality,
-            options=options or None,
-        )
-        elapsed = time.perf_counter() - start
-        if res.status == 0 and res.x is not None:
-            x = np.asarray(res.x)
+    res = milp(
+        c=c,
+        constraints=(
+            SciLinearConstraint(matrix, row_lb, row_ub) if model.num_constraints else ()
+        ),
+        bounds=Bounds(lb, ub),
+        integrality=integrality,
+        options=None if time_limit is None else {"time_limit": float(time_limit)},
+    )
+    stats = {"seconds": time.perf_counter() - start}
+    message = str(res.message)
+    if res.x is not None and res.status in (0, 1):
+        x = np.asarray(res.x)
+        if res.status == 0:
             int_idx = np.nonzero(integrality)[0]
             x[int_idx] = np.round(x[int_idx])
-            values = {var: float(v) for var, v in zip(variables, x)}
-            objective = sign * (float(c @ x) + offset)
-            return SolveResult(
-                status=SolveStatus.OPTIMAL,
-                objective=objective,
-                values=values,
-                stats={"seconds": elapsed},
-                message=str(res.message),
-            )
-        if res.status == 2:
-            return SolveResult(
-                status=SolveStatus.INFEASIBLE,
-                stats={"seconds": elapsed},
-                message=str(res.message),
-            )
-        if res.status == 3:
-            return SolveResult(
-                status=SolveStatus.UNBOUNDED,
-                stats={"seconds": elapsed},
-                message=str(res.message),
-            )
-        if res.status == 1 and res.x is not None:
-            # Iteration/time limit with an incumbent.
-            values = {var: float(v) for var, v in zip(variables, np.asarray(res.x))}
-            return SolveResult(
-                status=SolveStatus.FEASIBLE,
-                objective=sign * (float(c @ res.x) + offset),
-                values=values,
-                stats={"seconds": elapsed},
-                message=str(res.message),
-            )
         return SolveResult(
-            status=SolveStatus.LIMIT if res.status == 1 else SolveStatus.ERROR,
-            stats={"seconds": elapsed},
-            message=str(res.message),
+            # Status 1 is the iteration/time limit with an incumbent.
+            status=SolveStatus.OPTIMAL if res.status == 0 else SolveStatus.FEASIBLE,
+            objective=sign * (float(c @ x) + offset),
+            values={var: float(v) for var, v in zip(variables, x)},
+            stats=stats,
+            message=message,
         )
-
-    # Pure LP path.
-    a_ub_rows = []
-    b_ub_vals = []
-    a_eq_rows = []
-    b_eq_vals = []
-    dense = matrix.toarray() if model.num_constraints else np.zeros((0, len(variables)))
-    for r in range(dense.shape[0]):
-        lo, hi = row_lb[r], row_ub[r]
-        if lo == hi:
-            a_eq_rows.append(dense[r])
-            b_eq_vals.append(lo)
-        else:
-            if hi != _INF:
-                a_ub_rows.append(dense[r])
-                b_ub_vals.append(hi)
-            if lo != -_INF:
-                a_ub_rows.append(-dense[r])
-                b_ub_vals.append(-lo)
-    res = linprog(
-        c,
-        A_ub=np.vstack(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.asarray(b_ub_vals) if b_ub_vals else None,
-        A_eq=np.vstack(a_eq_rows) if a_eq_rows else None,
-        b_eq=np.asarray(b_eq_vals) if b_eq_vals else None,
-        bounds=list(zip(lb, ub)),
-        method="highs",
+    return SolveResult(
+        status=_STATUS.get(res.status, SolveStatus.ERROR), stats=stats, message=message
     )
-    elapsed = time.perf_counter() - start
-    if res.status == 0:
-        values = {var: float(v) for var, v in zip(variables, res.x)}
-        return SolveResult(
-            status=SolveStatus.OPTIMAL,
-            objective=sign * (float(res.fun) + offset),
-            values=values,
-            stats={"seconds": elapsed},
-        )
-    if res.status == 2:
-        return SolveResult(status=SolveStatus.INFEASIBLE, stats={"seconds": elapsed})
-    if res.status == 3:
-        return SolveResult(status=SolveStatus.UNBOUNDED, stats={"seconds": elapsed})
-    return SolveResult(status=SolveStatus.ERROR, stats={"seconds": elapsed},
-                       message=str(res.message))

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.io import load_json, plan_from_dict
 
@@ -31,6 +34,25 @@ class TestParser:
         output = capsys.readouterr().out
         assert output.startswith("repro ")
         assert output.strip().split(" ", 1)[1]  # a non-empty version string
+
+    def test_version_flag_prints_package_version(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.strip() == f"repro {repro.__version__}"
+
+    def test_pyproject_version_comes_from_the_package(self):
+        # One version source: the distribution's metadata is read from
+        # repro.__version__, so an installed `repro --version` cannot drift.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        if not pyproject.is_file():
+            pytest.skip("pyproject.toml is not next to the tests")
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
 
     def test_unknown_router_rejected(self):
         with pytest.raises(SystemExit):

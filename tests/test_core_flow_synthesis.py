@@ -120,13 +120,6 @@ class TestSynthesisVariants:
         assert result.cycle_time == system.cycle_time(3)
         assert result.succeeded
 
-    def test_branch_and_bound_backend_on_small_model(self, system, designed):
-        workload = Workload.from_mapping(designed.warehouse.catalog, {1: 2})
-        result = synthesize_flows(
-            system, workload, horizon=600, options=SynthesisOptions(backend="bnb")
-        )
-        assert result.succeeded
-
     def test_explicit_warmup(self, system, workload):
         result = synthesize_flows(
             system, workload, horizon=600, options=SynthesisOptions(warmup_periods=0)

@@ -7,10 +7,12 @@ import pytest
 
 from repro.experiments import (
     PRESET_SUITES,
+    STATUS_ERROR,
     ResultStore,
     RunRecord,
     ScenarioError,
     ScenarioSpec,
+    execute_scenario,
     grid_scenarios,
     load_records,
     preset_scenarios,
@@ -101,6 +103,21 @@ class TestScenarioSpec:
     def test_validate_rejects(self, overrides):
         with pytest.raises(ScenarioError):
             replace(ScenarioSpec(), **overrides).validate()
+
+    def test_scenario_ids_are_pinned(self):
+        # Archived result files are keyed on these ids; ``backend`` stays in
+        # the hashed payload so that they do not move.
+        assert ScenarioSpec().scenario_id == "cdba07b15261"
+        assert preset_scenarios("smoke")[0].scenario_id == "8a65fb6b025c"
+
+    def test_retired_backend_rejected(self):
+        spec = ScenarioSpec(backend="bnb")
+        with pytest.raises(ScenarioError, match="highs"):
+            spec.validate()
+        assert not spec.is_valid()
+        document = execute_scenario(spec.to_dict())
+        assert document["status"] == STATUS_ERROR
+        assert "highs" in document["message"]
 
     def test_build_fulfillment(self):
         spec = ScenarioSpec(num_products=5, units=10)

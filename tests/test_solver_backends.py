@@ -1,19 +1,19 @@
-"""Tests for the MILP backends (HiGHS, branch-and-bound) and the dispatcher."""
+"""Tests for :func:`repro.solver.solve_model`, the one (HiGHS) solver path.
+
+Every model, LP or MILP, goes through the same export and ``milp`` call, so
+the LP cases below pin the semantics of that export: max sense, ``<=``/``>=``/
+``==`` rows, variable bounds and the objective constant.  The property tests
+check it against scipy called directly (``linprog`` for LPs, ``milp`` for
+ILPs); those oracles live only here.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from repro.solver import (
-    BnBOptions,
-    ConstraintModel,
-    SolveStatus,
-    solve_branch_and_bound,
-    solve_model,
-    solve_with_scipy,
-)
+from repro.solver import ConstraintModel, SolveStatus, solve_model
 from repro.solver.expressions import LinearExpr
 
 
@@ -29,23 +29,10 @@ def knapsack_model():
     return model, x
 
 
-def integer_flow_model():
-    """A tiny conservation-style ILP with a unique optimum."""
-    model = ConstraintModel("flow")
-    a = model.add_var("a", lb=0, ub=5, integer=True)
-    b = model.add_var("b", lb=0, ub=5, integer=True)
-    c = model.add_var("c", lb=0, ub=5, integer=True)
-    model.add_constraint(a + b == 4)
-    model.add_constraint(b + c == 3)
-    model.add_constraint(a >= 1)
-    model.set_objective(a + 2 * b + 3 * c)
-    return model
-
-
 class TestScipyBackend:
     def test_knapsack_optimum(self):
         model, x = knapsack_model()
-        result = solve_with_scipy(model)
+        result = solve_model(model)
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(20.0)
         assert result.int_value(x[2]) == 1
@@ -54,7 +41,7 @@ class TestScipyBackend:
         model = ConstraintModel()
         v = model.add_var("v", lb=0, ub=1, integer=True)
         model.add_constraint(v >= 2)
-        result = solve_with_scipy(model)
+        result = solve_model(model)
         assert result.status == SolveStatus.INFEASIBLE
 
     def test_pure_lp_path(self):
@@ -63,80 +50,149 @@ class TestScipyBackend:
         y = model.add_var("y", lb=0, ub=4)
         model.add_constraint(x + y <= 6)
         model.set_objective(x + 2 * y, sense="max")
-        result = solve_with_scipy(model)
+        result = solve_model(model)
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(10.0)
 
     def test_named_dict(self):
         model, _ = knapsack_model()
-        result = solve_with_scipy(model)
+        result = solve_model(model)
         named = result.as_named_dict()
         assert set(named) == {"x0", "x1", "x2"}
 
 
-class TestBranchAndBound:
-    def test_knapsack_optimum(self):
-        model, _ = knapsack_model()
-        result = solve_branch_and_bound(model)
-        assert result.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
-        assert result.objective == pytest.approx(20.0)
+def lp(num_vars, lb=0, ub=None):
+    model = ConstraintModel("lp")
+    return model, [model.add_var(f"x{i}", lb=lb, ub=ub) for i in range(num_vars)]
 
-    def test_integer_flow(self):
-        model = integer_flow_model()
-        result = solve_branch_and_bound(model)
-        assert result.is_feasible
-        reference = solve_with_scipy(model)
-        assert result.objective == pytest.approx(reference.objective)
+
+class TestLPSemantics:
+    """Known LPs, solved without any integer column."""
+
+    def test_max_sense(self):
+        # max 3x + 2y  s.t. x + y <= 4, x + 3y <= 6  -> (4, 0), objective 12.
+        model, (x, y) = lp(2)
+        model.add_constraint(x + y <= 4)
+        model.add_constraint(x + 3 * y <= 6)
+        model.set_objective(3 * x + 2 * y, sense="max")
+        result = solve_model(model)
+        assert result.status == SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(12.0)
+        assert result.value(x) == pytest.approx(4.0)
+
+    def test_objective_constant(self):
+        # min x + 5 with x >= 2 (a >= row) in both senses of the constant.
+        model, (x,) = lp(1)
+        model.add_constraint(x >= 2)
+        model.set_objective(x + 5)
+        assert solve_model(model).objective == pytest.approx(7.0)
+        model.set_objective(-1 * x + 5, sense="max")
+        assert solve_model(model).objective == pytest.approx(3.0)
+
+    def test_equality_constraints(self):
+        # min x + y s.t. x + y == 5, x - y == 1 -> (3, 2).
+        model, (x, y) = lp(2)
+        model.add_constraint(x + y == 5)
+        model.add_constraint(x - y == 1)
+        model.set_objective(x + y)
+        result = solve_model(model)
+        assert result.status == SolveStatus.OPTIMAL
+        assert [result.value(x), result.value(y)] == pytest.approx([3.0, 2.0])
 
     def test_infeasible(self):
+        model, (x,) = lp(1)
+        model.add_constraint(x <= 1)
+        model.add_constraint(x >= 3)
+        model.set_objective(x)
+        assert solve_model(model).status == SolveStatus.INFEASIBLE
+
+    def test_unbounded(self):
+        # min -x with x >= 0 and no upper restriction.
+        model, (x,) = lp(1)
+        model.set_objective(-1 * x)
+        assert solve_model(model).status == SolveStatus.UNBOUNDED
+
+    def test_upper_bounds_respected(self):
         model = ConstraintModel()
-        v = model.add_var("v", lb=0, ub=3, integer=True)
-        model.add_constraint(2 * v == 5)  # no integer solution
-        result = solve_branch_and_bound(model)
-        assert result.status == SolveStatus.INFEASIBLE
+        x = model.add_var("x", lb=0, ub=2)
+        y = model.add_var("y", lb=0, ub=3)
+        model.set_objective(x + y, sense="max")
+        result = solve_model(model)
+        assert result.status == SolveStatus.OPTIMAL
+        assert [result.value(x), result.value(y)] == pytest.approx([2.0, 3.0])
 
-    def test_first_solution_mode(self):
-        model, _ = knapsack_model()
-        result = solve_branch_and_bound(model, BnBOptions(first_solution=True))
-        assert result.is_feasible
-        assert not model.check_assignment(result.values)
+    def test_negative_lower_bounds(self):
+        model, (x,) = lp(1, lb=-5, ub=5)
+        model.set_objective(x)
+        result = solve_model(model)
+        assert result.status == SolveStatus.OPTIMAL
+        assert result.value(x) == pytest.approx(-5.0)
 
-    def test_node_limit_reported(self):
-        model, _ = knapsack_model()
-        result = solve_branch_and_bound(model, BnBOptions(max_nodes=1))
-        # With a single node the root relaxation may already be integral;
-        # either way the result must be sane.
-        assert result.status in (
-            SolveStatus.OPTIMAL,
-            SolveStatus.FEASIBLE,
-            SolveStatus.LIMIT,
+    def test_free_variable(self):
+        # min x with x free and x >= -7 stated as a row, not a bound.
+        model, (x,) = lp(1, lb=None)
+        model.add_constraint(x >= -7)
+        model.set_objective(x)
+        result = solve_model(model)
+        assert result.status == SolveStatus.OPTIMAL
+        assert result.value(x) == pytest.approx(-7.0)
+
+    def test_degenerate_problem_terminates(self):
+        # Beale's classic degenerate LP, on which a naive simplex cycles.
+        model, xs = lp(4)
+        rows = [
+            ([0.5, -5.5, -2.5, 9.0], 0.0),
+            ([0.5, -1.5, -0.5, 1.0], 0.0),
+            ([1.0, 0.0, 0.0, 0.0], 1.0),
+        ]
+        for coeffs, rhs in rows:
+            model.add_constraint(LinearExpr.sum(a * x for a, x in zip(coeffs, xs)) <= rhs)
+        cost = [-10.0, 57.0, 9.0, 24.0]
+        model.set_objective(LinearExpr.sum(a * x for a, x in zip(cost, xs)))
+        result = solve_model(model)
+        assert result.status == SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(-1.0, abs=1e-6)
+
+    def test_transportation_like_flow(self):
+        # Two sources (supply 3, 2), two sinks (demand 2, 3); min cost.
+        model, (x11, x12, x21, x22) = lp(4)
+        model.add_constraint(x11 + x12 == 3)
+        model.add_constraint(x21 + x22 == 2)
+        model.add_constraint(x11 + x21 == 2)
+        model.add_constraint(x12 + x22 == 3)
+        model.set_objective(4 * x11 + 6 * x12 + 5 * x21 + 3 * x22)
+        result = solve_model(model)
+        assert result.status == SolveStatus.OPTIMAL
+        a_eq = np.array(
+            [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float
         )
-
-    def test_simplex_engine(self):
-        model = integer_flow_model()
-        result = solve_branch_and_bound(model, BnBOptions(lp_engine="simplex"))
-        assert result.is_feasible
-        assert not model.check_assignment(result.values)
-
-    def test_stats_populated(self):
-        model, _ = knapsack_model()
-        result = solve_branch_and_bound(model)
-        assert result.stats["nodes"] >= 1
-        assert result.stats["seconds"] >= 0
+        ref = linprog([4, 6, 5, 3], A_eq=a_eq, b_eq=[3, 2, 2, 3], method="highs")
+        assert result.objective == pytest.approx(ref.fun, abs=1e-6)
 
 
-class TestDispatcher:
-    def test_unknown_backend_rejected(self):
-        model, _ = knapsack_model()
-        with pytest.raises(ValueError):
-            solve_model(model, backend="cplex")
+def model_from_rows(c, rows, rhs, ub, integer):
+    """``min c @ x`` s.t. ``rows @ x <= rhs`` and ``0 <= x <= ub``."""
+    model = ConstraintModel()
+    xs = [model.add_var(f"x{i}", lb=0, ub=u, integer=integer) for i, u in enumerate(ub)]
+    for row, b in zip(rows, rhs):
+        model.add_constraint(LinearExpr.sum(coef * x for coef, x in zip(row, xs)) <= b)
+    model.set_objective(LinearExpr.sum(coef * x for coef, x in zip(c, xs)))
+    return model
 
-    @pytest.mark.parametrize("backend", ["auto", "highs", "bnb", "simplex-bnb"])
-    def test_backends_agree_on_knapsack(self, backend):
-        model, _ = knapsack_model()
-        result = solve_model(model, backend=backend)
-        assert result.is_feasible
-        assert result.objective == pytest.approx(20.0)
+
+@st.composite
+def random_lp(draw):
+    """Random bounded-feasible LPs: box bounds guarantee boundedness."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=4))
+    c = [draw(st.integers(min_value=-5, max_value=5)) for _ in range(n)]
+    a_rows = [
+        [draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)]
+        for _ in range(m)
+    ]
+    b = [draw(st.integers(min_value=0, max_value=12)) for _ in range(m)]
+    ub = [draw(st.integers(min_value=1, max_value=8)) for _ in range(n)]
+    return c, a_rows, b, ub
 
 
 @st.composite
@@ -153,23 +209,36 @@ def random_ilp(draw):
     return c, rows, rhs, ub
 
 
-class TestBnBAgainstHiGHS:
+class TestAgainstScipyOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(random_lp())
+    def test_matches_linprog_on_random_boxed_lps(self, problem):
+        c, a_rows, b, ub = problem
+        ours = solve_model(model_from_rows(c, a_rows, b, ub, integer=False))
+        ref = linprog(
+            c,
+            A_ub=np.array(a_rows, dtype=float) if a_rows else None,
+            b_ub=b if b else None,
+            bounds=[(0.0, float(u)) for u in ub],
+            method="highs",
+        )
+        if ref.status == 0:
+            assert ours.status == SolveStatus.OPTIMAL
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
+        elif ref.status == 2:
+            assert ours.status == SolveStatus.INFEASIBLE
+
     @settings(max_examples=40, deadline=None)
     @given(random_ilp())
     def test_same_optimum_as_milp(self, ilp):
         c, rows, rhs, ub = ilp
         n = len(c)
-        model = ConstraintModel()
-        xs = [model.add_var(f"x{i}", lb=0, ub=ub[i], integer=True) for i in range(n)]
-        for row, b in zip(rows, rhs):
-            model.add_constraint(LinearExpr.sum(coef * x for coef, x in zip(row, xs)) <= b)
-        model.set_objective(LinearExpr.sum(coef * x for coef, x in zip(c, xs)))
-
-        ours = solve_branch_and_bound(model)
-        a = np.array(rows, dtype=float)
+        ours = solve_model(model_from_rows(c, rows, rhs, ub, integer=True))
         ref = milp(
             c=np.array(c, dtype=float),
-            constraints=LinearConstraint(a, -np.inf * np.ones(len(rhs)), np.array(rhs, dtype=float)),
+            constraints=LinearConstraint(
+                np.array(rows, dtype=float), -np.inf * np.ones(len(rhs)), np.array(rhs, dtype=float)
+            ),
             bounds=Bounds(np.zeros(n), np.array(ub, dtype=float)),
             integrality=np.ones(n),
         )

@@ -1,6 +1,5 @@
-"""Unit tests for the backend-independent constraint model."""
+"""Unit tests for the constraint model."""
 
-import numpy as np
 import pytest
 
 from repro.solver import ConstraintModel, ModelError, Variable
@@ -77,28 +76,6 @@ class TestExportAndChecks:
         model.add_constraint(x - y == 2)
         model.set_objective(x + y, sense="max")
         return model, x, y
-
-    def test_standard_arrays_shapes(self):
-        model, _, _ = self._small_model()
-        arrays = model.to_standard_arrays()
-        assert arrays.c.shape == (2,)
-        assert arrays.a_ub.shape == (2, 2)  # <= and flipped >=
-        assert arrays.a_eq.shape == (1, 2)
-        assert list(arrays.integrality) == [1, 0]
-
-    def test_max_objective_flipped(self):
-        model, x, y = self._small_model()
-        arrays = model.to_standard_arrays()
-        # maximize x + y  ->  minimize -(x + y)
-        assert arrays.c[arrays.variables.index(x)] == -1.0
-        assert arrays.objective_sign == -1.0
-        assert arrays.objective_value([3.0, 1.0]) == pytest.approx(4.0)
-
-    def test_ge_row_flipped_into_ub(self):
-        model, x, y = self._small_model()
-        arrays = model.to_standard_arrays()
-        # The >= row appears negated in A_ub.
-        assert np.any(arrays.b_ub <= 0.0) or arrays.a_ub.shape[0] == 2
 
     def test_check_assignment_reports_violations(self):
         model, x, y = self._small_model()
