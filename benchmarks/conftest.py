@@ -2,8 +2,7 @@
 
 Every benchmark runs at a laptop-friendly scale by default; set the
 environment variable ``REPRO_PAPER_SCALE=1`` to run the paper-scale presets
-(the Fulfillment-2 instances then take a couple of minutes each, matching the
-paper's reported runtimes).
+(Table I's nine rows then synthesize within the paper's reported runtimes).
 
 The Table-I benchmarks accumulate their rows in a session-scoped collector and
 print the assembled table (ours vs. the paper) at the end of the session, so

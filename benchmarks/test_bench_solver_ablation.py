@@ -1,18 +1,24 @@
-"""Experiment E10 (ablation): objective choice and model size.
+"""Experiment E10 (ablation): formulation, objective choice and model size.
 
 The paper solves the flow-synthesis constraints with Z3; we reduce them to a
-MILP and solve it with HiGHS.  These ablations measure what the objective
-choice costs (pure feasibility vs. minimizing the number of agents) and how
-the model grows with the number of products.
+MILP and solve it with HiGHS.  These ablations measure how much of the speed
+comes from the formulation (the paper's per-product contract model against
+the exact aggregate ``synthesize_flows`` solves, both on HiGHS), what the
+objective choice costs (pure feasibility vs. minimizing the number of agents)
+and how the model grows with the number of products.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro.core import SynthesisOptions, synthesize_flows
 from repro.maps import toy_warehouse
+from repro.solver import solve_model
 from repro.warehouse import Workload
+from tests.reference_synthesis import contract_model
 
 from .conftest import get_designed
 
@@ -92,3 +98,42 @@ def test_product_count_scaling(benchmark, designed_maps):
     benchmark.extra_info["variables_8_products"] = model_a.num_variables
     benchmark.extra_info["variables_12_products"] = model_b.num_variables
     assert model_b.num_variables > model_a.num_variables
+
+
+def test_formulation_ablation(benchmark, designed_maps):
+    """The per-product contract model against its exact aggregate on fulfillment-2-small/60.
+
+    Both go through ``solve_model``; the sizes are deterministic, the solve
+    seconds are recorded, not gated.
+    """
+    designed = get_designed(designed_maps, "fulfillment-2-small")
+    system = designed.traffic_system
+    workload = Workload.uniform(designed.warehouse.catalog, 60)
+    results = {}
+
+    def run():
+        model, _ = contract_model(system, workload, 1500)
+        start = time.perf_counter()
+        solved = solve_model(model)
+        results["contract"] = (model, solved, time.perf_counter() - start)
+        results["aggregate"] = synthesize_flows(system, workload, 1500)
+        return results
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    model, contract, contract_seconds = results["contract"]
+    aggregate = results["aggregate"]
+    benchmark.extra_info["contract"] = {
+        "variables": model.num_variables,
+        "constraints": model.num_constraints,
+        "solve_seconds": contract_seconds,
+        "agents": round(contract.objective),
+    }
+    benchmark.extra_info["aggregate"] = {
+        "variables": aggregate.num_variables,
+        "constraints": aggregate.num_constraints,
+        "solve_seconds": aggregate.solve_seconds,
+        "agents": aggregate.flow_set.num_agents,
+    }
+    assert aggregate.flow_set.num_agents == round(contract.objective)
+    assert aggregate.num_variables < model.num_variables
+    assert aggregate.num_constraints < model.num_constraints

@@ -20,7 +20,11 @@ Guarantees (promised by ``Ci``):
   disappear, they only change what they carry).
 
 The traffic-system contract is the composition of all component contracts
-(:func:`traffic_system_contract`).
+(:func:`traffic_system_contract`).  The empty-handed flow ``f[i, j, 0]`` is
+the integer ``empty[i, j]`` itself.  These per-product contracts are what the
+runtime monitor checks against a simulated trace and what
+``SynthesisOptions.check_contracts`` pre-checks; the synthesis MILP is their
+exact aggregate (:mod:`repro.core.flow_synthesis`).
 """
 
 from __future__ import annotations

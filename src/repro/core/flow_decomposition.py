@@ -108,10 +108,9 @@ def _extract_paths(
                     )
                 if hop in positions:
                     # Cancel the circulation loop and continue from its start.
+                    # The walk already consumed the loop's other arcs.
                     loop_start = positions[hop]
-                    loop = walk[loop_start:] + [hop]
-                    for u, v in zip(loop, loop[1:]):
-                        remaining[(u, v)] -= 1
+                    remaining[(current, hop)] -= 1
                     for dropped in walk[loop_start + 1 :]:
                         del positions[dropped]
                     walk = walk[: loop_start + 1]

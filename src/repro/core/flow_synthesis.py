@@ -1,26 +1,30 @@
 """Agent-flow synthesis (Sec. IV-D): contracts → MILP → agent flow set.
 
-The synthesis stage builds the traffic-system contract (composition of all
-component contracts) and the workload contract, conjoins them, adds the
-integrality-bridge coupling constraints (continuous per-product rates must sum
-to integer agent-slot counts — see :mod:`repro.core.flow_variables`), and hands
-the resulting model to HiGHS through :func:`repro.solver.solve_model` (the
-paper uses Z3 over linear real arithmetic).  The satisfying assignment is
-packaged as an :class:`AgentFlowSet`, the object the decomposition stage
-(Sec. IV-E) consumes.
+The synthesis stage compiles the traffic-system contract (composition of all
+component contracts) and the workload contract, then hands HiGHS, through
+:func:`repro.solver.solve_model` (the paper uses Z3 over linear real
+arithmetic), the *exact aggregate* of their conjunction: integer loaded and
+empty-handed arc flows, integer pickups and drop-offs, and continuous
+per-row product mixes ``f_in``.  The per-product edge and drop-off rates are
+projected out; DESIGN.md §3 shows that every aggregate
+solution lifts back to a per-product one with the same objective value, so
+both models share their optimum.  The compiled contracts are still attached to
+the result: the runtime monitor checks them against the simulated trace.  The
+satisfying assignment is packaged as an :class:`AgentFlowSet`, the object the
+decomposition stage (Sec. IV-E) consumes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..contracts import AGContract, check_composition_consistency
 from ..solver import SolveStatus, solve_model
 from ..solver.model import ConstraintModel
 from ..traffic.system import ComponentId, TrafficSystem
-from ..warehouse.products import ProductId
+from ..warehouse.products import EMPTY_HANDED, ProductId
 from ..warehouse.workload import Workload
 from .component_contracts import traffic_system_contract
 from .flow_variables import EdgeKey, FlowVariablePool, NodeKey
@@ -77,9 +81,9 @@ class AgentFlowSet:
     ``loaded_flows[(i, j)]`` / ``empty_flows[(i, j)]`` are the integer numbers
     of loaded / empty-handed agents moving from component ``i`` to ``j`` every
     cycle period; ``pickups[i]`` / ``dropoffs[i]`` are the integer per-period
-    pickups and drop-offs; ``pickup_rates[(i, k)]`` / ``dropoff_rates[(i, k)]``
-    are the continuous per-product rates the workload contract constrains
-    (used to allocate products to delivery slots).  Zero entries are omitted.
+    pickups and drop-offs; ``pickup_rates[(i, k)]`` are the continuous
+    per-product pickup rates the workload and stock bounds constrain (used to
+    allocate products to delivery slots).  Zero entries are omitted.
     """
 
     system: TrafficSystem
@@ -91,7 +95,6 @@ class AgentFlowSet:
     pickups: Dict[ComponentId, int] = field(default_factory=dict)
     dropoffs: Dict[ComponentId, int] = field(default_factory=dict)
     pickup_rates: Dict[NodeKey, float] = field(default_factory=dict)
-    dropoff_rates: Dict[NodeKey, float] = field(default_factory=dict)
 
     # -- aggregate queries ------------------------------------------------------
     @property
@@ -113,11 +116,6 @@ class AgentFlowSet:
 
     def expected_deliveries(self) -> int:
         return self.deliveries_per_period() * self.num_periods
-
-    def products(self) -> Tuple[ProductId, ...]:
-        seen = {p for (_, p) in self.pickup_rates}
-        seen.update(p for (_, p) in self.dropoff_rates)
-        return tuple(sorted(seen))
 
     def loaded_inflow_of(self, component: ComponentId) -> int:
         return sum(v for (_, dst), v in self.loaded_flows.items() if dst == component)
@@ -216,7 +214,8 @@ def synthesize_flows(
 
     This is the paper's Fig. 3 flow: compile component contracts, compose them
     into the traffic-system contract, conjoin with the workload contract, and
-    search for a satisfying assignment.
+    search for a satisfying assignment — here of the conjunction's exact
+    aggregate, which has the same optimum.
     """
     options = options or SynthesisOptions()
     build_start = time.perf_counter()
@@ -229,7 +228,7 @@ def synthesize_flows(
     demand_contract = workload_contract(
         pool, workload, num_periods, warmup_periods=warmup_periods
     )
-    conjunction = system_contract & demand_contract
+    model = _build_model(pool, workload, num_periods, warmup_periods, options.objective)
 
     if options.check_contracts:
         message = check_composition_consistency([system_contract, demand_contract])
@@ -241,14 +240,12 @@ def synthesize_flows(
                 num_periods=num_periods,
                 build_seconds=time.perf_counter() - build_start,
                 solve_seconds=0.0,
-                num_variables=pool.num_variables,
-                num_constraints=len(conjunction.all_constraints()),
+                num_variables=model.num_variables,
+                num_constraints=model.num_constraints,
                 message=message,
                 traffic_contract=system_contract,
                 workload_contract=demand_contract,
             )
-
-    model = _build_model(pool, conjunction, options)
     build_seconds = time.perf_counter() - build_start
 
     solve_start = time.perf_counter()
@@ -281,20 +278,77 @@ def synthesize_flows(
 # ---------------------------------------------------------------------------
 
 def _build_model(
-    pool: FlowVariablePool, conjunction: AGContract, options: SynthesisOptions
+    pool: FlowVariablePool,
+    workload: Workload,
+    num_periods: int,
+    warmup_periods: int,
+    objective: str,
 ) -> ConstraintModel:
+    """The exact aggregate of the traffic-system ∧ workload contract conjunction.
+
+    Per component: the capacity assumption, loaded and empty-handed flow
+    conservation, at most one pickup per entering empty-handed agent, and a
+    row's pickups split into per-product rates bounded by its stock; per
+    product, the workload guarantee stated on the pickups (summing the
+    per-product conservation over all components equates a product's pickups
+    with its station drop-offs).
+    """
     model = ConstraintModel(name="agent-flow-synthesis")
-    for variable in pool.all_variables():
-        model.register(variable)
-    for constraint in conjunction.all_constraints():
-        model.add_constraint(constraint)
-    # The integrality bridge: continuous per-product rates must aggregate to
-    # integer agent-slot counts (see flow_variables.py).
-    for constraint in pool.coupling_constraints():
-        model.add_constraint(constraint)
-    if options.objective == "min_agents":
+    # Column order steers HiGHS's branching; integers first solved the
+    # paper-scale Table-I rows fastest.
+    for family in (
+        pool.loaded_vars,
+        pool.empty_vars,
+        pool.total_pickup_vars,
+        pool.total_dropoff_vars,
+        pool.pickup_vars,
+    ):
+        for variable in family.values():
+            model.register(variable)
+    system = pool.system
+    for component in system.components:
+        model.add_constraint(
+            (pool.total_inflow(component.index) <= component.capacity).named(
+                f"capacity[{component.name}]"
+            )
+        )
+    for component in system.components:
+        index, name = component.index, component.name
+        loaded = pool.net_inflow(pool.loaded_vars, index)
+        empty = pool.net_inflow(pool.empty_vars, index)
+        picked = pool.total_pickup(index)
+        if picked is not None:
+            for product in pool.products:
+                rate = pool.pickup(index, product)
+                if rate is not None:
+                    stock = system.units_at(index, product) / max(1, num_periods)
+                    model.add_constraint(
+                        (1 * rate <= stock).named(f"pickup-stock[{name},{product}]")
+                    )
+            model.add_constraint(
+                (1 * picked <= pool.inflow(index, EMPTY_HANDED)).named(
+                    f"pickup-empty-agents[{name}]"
+                )
+            )
+            model.add_constraint(
+                (pool.total_pickups_expr(index) - picked == 0).named(f"pickup-mix[{name}]")
+            )
+            loaded, empty = loaded + picked, empty - picked
+        dropped = pool.total_dropoff(index)
+        if dropped is not None:
+            loaded, empty = loaded - dropped, empty + dropped
+        model.add_constraint((loaded == 0).named(f"conservation[{name},loaded]"))
+        model.add_constraint((empty == 0).named(f"conservation[{name},empty]"))
+    effective = num_periods - warmup_periods
+    for product in workload.requested_products():
+        model.add_constraint(
+            (pool.total_row_pickups(product) >= workload.demand(product) / effective).named(
+                f"workload[{product}]"
+            )
+        )
+    if objective == "min_agents":
         model.set_objective(pool.total_agents(), sense="min")
-    elif options.objective == "min_carrying":
+    elif objective == "min_carrying":
         model.set_objective(pool.total_loaded_flow(), sense="min")
     return model
 
@@ -325,11 +379,6 @@ def _extract_flow_set(
         for key, var in pool.pickup_vars.items()
         if float_of(var) > 1e-9
     }
-    dropoff_rates = {
-        key: float_of(var)
-        for key, var in pool.dropoff_vars.items()
-        if float_of(var) > 1e-9
-    }
     return AgentFlowSet(
         system=pool.system,
         cycle_time=cycle_time,
@@ -340,5 +389,4 @@ def _extract_flow_set(
         pickups=pickups,
         dropoffs=dropoffs,
         pickup_rates=pickup_rates,
-        dropoff_rates=dropoff_rates,
     )

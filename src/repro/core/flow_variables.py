@@ -11,30 +11,32 @@ cycle period is then served at a fractional rate — in the realized plan this
 becomes time multiplexing (an agent cycle carries different products in
 different periods).
 
-Discrete agent cycles, however, need integer *agent-slot* counts.  The pool
-therefore also creates the aggregate variables that bridge to the discrete
-world (DESIGN.md documents this as the "integrality bridge"):
+Discrete agent cycles, however, need integer *agent-slot* counts, so the pool
+also holds the integer aggregates:
 
-* ``loaded[i, j]`` (integer)  = Σ_{k ≥ 1} f[i, j, k]
-* ``empty[i, j]``  (integer)  = f[i, j, 0]
-* ``pickups[i]``   (integer)  = Σ_k f_in[i, k]
-* ``dropoffs[i]``  (integer)  = Σ_k f_out[i, k]
+* ``loaded[i, j]`` — loaded agents per period on the arc, all products;
+* ``empty[i, j]``  — empty-handed agents per period on the arc; it *is* the
+  contracts' ``f[i, j, 0]`` (:meth:`FlowVariablePool.edge` returns it);
+* ``pickups[i]`` / ``dropoffs[i]`` — pickups at a row / drop-offs at a queue.
 
-Capacity constraints and the cycle decomposition work on the aggregates; the
-workload and stock constraints work on the per-product rates.
+:func:`repro.core.flow_synthesis.synthesize_flows` solves the exact aggregate
+of the contracts over ``loaded``, ``empty``, ``pickups``, ``dropoffs`` and
+``f_in``; the per-product edge and drop-off rates appear only in the compiled
+contracts, which the runtime monitor checks against the trace.  DESIGN.md §3
+gives the projection and lift that make the two models share their optimum.
 
 Variables are created only where they can be non-zero (per-product variables
 only for demanded products, pickups only at shelving rows stocking the
-product, drop-offs only at station queues), which keeps the 120-product model
-compact without changing its meaning.
+product, drop-offs only at station queues), which keeps the 120-product
+contracts compact without changing their meaning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..solver.expressions import LinearConstraint, LinearExpr, Variable
+from ..solver.expressions import LinearExpr, Variable
 from ..traffic.system import ComponentId, TrafficSystem
 from ..warehouse.products import EMPTY_HANDED, ProductId
 from ..warehouse.workload import Workload
@@ -50,7 +52,7 @@ class FlowVariablePool:
 
     system: TrafficSystem
     products: Tuple[ProductId, ...]
-    #: Per-product, per-edge flow rates (continuous); includes k = 0 (empty).
+    #: Per-product, per-edge loaded flow rates ``f[i, j, k]``, ``k ≥ 1`` (continuous).
     edge_vars: Dict[ProductEdgeKey, Variable] = field(default_factory=dict)
     #: Per-product pickup / drop-off rates (continuous).
     pickup_vars: Dict[NodeKey, Variable] = field(default_factory=dict)
@@ -63,7 +65,7 @@ class FlowVariablePool:
 
     @staticmethod
     def for_workload(system: TrafficSystem, workload: Workload) -> "FlowVariablePool":
-        """Create the pool for a workload: empty-handed + demanded products."""
+        """Create the pool for a workload's demanded products."""
         products = workload.requested_products()
         pool = FlowVariablePool(system=system, products=products)
         pool._populate()
@@ -71,10 +73,9 @@ class FlowVariablePool:
 
     # -- population -----------------------------------------------------------
     def _populate(self) -> None:
-        carried = (EMPTY_HANDED,) + tuple(self.products)
         for source, target in self.system.edges():
             capacity = self.system.component(target).capacity
-            for product in carried:
+            for product in self.products:
                 self.edge_vars[(source, target, product)] = Variable(
                     name=f"f[{source},{target},{product}]",
                     lb=0,
@@ -122,6 +123,9 @@ class FlowVariablePool:
 
     # -- variable access --------------------------------------------------------
     def edge(self, source: ComponentId, target: ComponentId, product: ProductId) -> Optional[Variable]:
+        """``f[source, target, product]``; the empty-handed flow is ``empty[source, target]``."""
+        if product == EMPTY_HANDED:
+            return self.empty(source, target)
         return self.edge_vars.get((source, target, product))
 
     def pickup(self, component: ComponentId, product: ProductId) -> Optional[Variable]:
@@ -141,21 +145,6 @@ class FlowVariablePool:
 
     def total_dropoff(self, component: ComponentId) -> Optional[Variable]:
         return self.total_dropoff_vars.get(component)
-
-    def all_variables(self) -> List[Variable]:
-        return (
-            list(self.edge_vars.values())
-            + list(self.pickup_vars.values())
-            + list(self.dropoff_vars.values())
-            + list(self.loaded_vars.values())
-            + list(self.empty_vars.values())
-            + list(self.total_pickup_vars.values())
-            + list(self.total_dropoff_vars.values())
-        )
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.all_variables())
 
     # -- expression builders ------------------------------------------------------
     def inflow(self, component: ComponentId, product: ProductId) -> LinearExpr:
@@ -188,12 +177,24 @@ class FlowVariablePool:
                 terms.append(empty)
         return LinearExpr.sum(terms)
 
+    def net_inflow(self, arcs: Dict[EdgeKey, Variable], component: ComponentId) -> LinearExpr:
+        """Σ over inlets − Σ over outlets of one aggregate family (``loaded_vars`` / ``empty_vars``)."""
+        return LinearExpr.sum(
+            [arcs[(inlet, component)] for inlet in self.system.inlets_of(component)]
+            + [-1 * arcs[(component, outlet)] for outlet in self.system.outlets_of(component)]
+        )
+
     def total_pickups_expr(self, component: ComponentId) -> LinearExpr:
         terms = [var for (comp, _), var in self.pickup_vars.items() if comp == component]
         return LinearExpr.sum(terms)
 
     def total_dropoffs_expr(self, component: ComponentId) -> LinearExpr:
         terms = [var for (comp, _), var in self.dropoff_vars.items() if comp == component]
+        return LinearExpr.sum(terms)
+
+    def total_row_pickups(self, product: ProductId) -> LinearExpr:
+        """Σ over all shelving rows of f_in[i, product]."""
+        terms = [var for (_, prod), var in self.pickup_vars.items() if prod == product]
         return LinearExpr.sum(terms)
 
     def total_station_dropoffs(self, product: ProductId) -> LinearExpr:
@@ -210,35 +211,3 @@ class FlowVariablePool:
     def total_loaded_flow(self) -> LinearExpr:
         """Σ of loaded aggregate flows (used by the 'min_carrying' objective)."""
         return LinearExpr.sum(self.loaded_vars.values())
-
-    # -- integrality bridge --------------------------------------------------------
-    def coupling_constraints(self) -> List[LinearConstraint]:
-        """The constraints tying continuous per-product rates to integer aggregates."""
-        constraints: List[LinearConstraint] = []
-        for (source, target), loaded in self.loaded_vars.items():
-            product_sum = LinearExpr.sum(
-                self.edge_vars[(source, target, product)]
-                for product in self.products
-                if (source, target, product) in self.edge_vars
-            )
-            constraints.append(
-                (product_sum - loaded == 0).named(f"couple-loaded[{source},{target}]")
-            )
-        for (source, target), empty in self.empty_vars.items():
-            empty_rate = self.edge_vars[(source, target, EMPTY_HANDED)]
-            constraints.append(
-                (1 * empty_rate - empty == 0).named(f"couple-empty[{source},{target}]")
-            )
-        for component, total in self.total_pickup_vars.items():
-            constraints.append(
-                (self.total_pickups_expr(component) - total == 0).named(
-                    f"couple-pickups[{component}]"
-                )
-            )
-        for component, total in self.total_dropoff_vars.items():
-            constraints.append(
-                (self.total_dropoffs_expr(component) - total == 0).named(
-                    f"couple-dropoffs[{component}]"
-                )
-            )
-        return constraints

@@ -293,7 +293,11 @@ class IteratedPlanner:
                 tasks, positions, active, urgency, corridors, pending_cells, remaining
             )
             if solution is None:
-                status = STATUS_STALLED
+                out_of_time = (
+                    options.time_limit is not None
+                    and time.perf_counter() - start_time >= options.time_limit
+                )
+                status = STATUS_TIME_LIMIT if out_of_time else STATUS_STALLED
                 break
             expansions += solution.expansions
             horizon = max(len(path) for path in solution.paths)
@@ -369,7 +373,10 @@ class IteratedPlanner:
         episode (retreating off task endpoints) and are retried next episode
         from the new configuration.  Demotion order: latest release first
         (most slack), ties by agent id — the most urgent agent is held last.
+        Every rung shares the episode's ``time_limit``; the ladder stops when
+        it is spent.
         """
+        deadline = None if time_limit is None else time.perf_counter() + time_limit
         problem = self._episode_problem(
             tasks, positions, active, pending_cells, corridors
         )
@@ -378,12 +385,15 @@ class IteratedPlanner:
             return solution, set(active)
         by_urgency = sorted(active, key=lambda a: (urgency.get(a, 0), a))
         for keep in range(len(by_urgency) - 1, 0, -1):
+            remaining = None if deadline is None else deadline - time.perf_counter()
+            if remaining is not None and remaining <= 0:
+                break
             subset = {agent_id: active[agent_id] for agent_id in by_urgency[:keep]}
             problem = self._episode_problem(
                 tasks, positions, subset, pending_cells, corridors
             )
             solution = self._solve_episode(
-                problem, time_limit, set(subset), node_limit=_FALLBACK_NODE_LIMIT
+                problem, remaining, set(subset), node_limit=_FALLBACK_NODE_LIMIT
             )
             if solution is not None:
                 return solution, set(subset)

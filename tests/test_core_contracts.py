@@ -37,8 +37,8 @@ def pool(system, workload):
 
 class TestFlowVariablePool:
     def test_edge_variables_cover_all_arcs(self, pool, system, workload):
-        carried = 1 + len(workload.requested_products())
-        assert len(pool.edge_vars) == len(system.edges()) * carried
+        products = len(workload.requested_products())
+        assert len(pool.edge_vars) == len(system.edges()) * products
         assert len(pool.loaded_vars) == len(system.edges())
         assert len(pool.empty_vars) == len(system.edges())
 
@@ -65,16 +65,6 @@ class TestFlowVariablePool:
     def test_bounds_match_capacity(self, pool, system):
         for (source, target), var in pool.loaded_vars.items():
             assert var.ub == system.component(target).capacity
-
-    def test_coupling_constraints_cover_all_aggregates(self, pool):
-        constraints = pool.coupling_constraints()
-        expected = (
-            len(pool.loaded_vars)
-            + len(pool.empty_vars)
-            + len(pool.total_pickup_vars)
-            + len(pool.total_dropoff_vars)
-        )
-        assert len(constraints) == expected
 
     def test_inflow_outflow_expressions(self, pool, system):
         component = system.components[0]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AgentFlowSet,
     DecompositionError,
     SynthesisOptions,
     build_delivery_schedule,
@@ -68,6 +69,34 @@ class TestPathExtraction:
             for u, v in zip(path.components, path.components[1:]):
                 usage[(u, v)] = usage.get((u, v), 0) + 1
         assert usage == {k: v for k, v in flow_set.loaded_flows.items() if v}
+
+
+    def test_circulation_through_the_start_is_cancelled(self):
+        layout = FulfillmentLayout(
+            num_slices=2,
+            shelf_columns=4,
+            shelf_bands=1,
+            shelf_depth=1,
+            num_stations=2,
+            num_products=2,
+            name="circulation",
+        )
+        system = generate_fulfillment_center(layout).traffic_system
+        # Row 1 sends one unit to queue 5 (1→2→3→8→9→5); a loaded circulation
+        # 0→1→2→3→4→0 shares its first arcs, and the walk meets it first.
+        flow_set = AgentFlowSet(
+            system=system,
+            cycle_time=system.cycle_time(),
+            num_periods=10,
+            loaded_flows={
+                (0, 1): 1, (1, 2): 2, (2, 3): 2, (3, 4): 1,
+                (4, 0): 1, (3, 8): 1, (8, 9): 1, (9, 5): 1,
+            },
+            pickups={1: 1},
+            dropoffs={5: 1},
+        )
+        paths = extract_carrying_paths(flow_set)
+        assert [path.components for path in paths] == [(1, 2, 3, 8, 9, 5)]
 
 
 class TestCycleFormation:
@@ -134,7 +163,6 @@ class TestDeliverySchedule:
             pickups=dict(flow_set.pickups),
             dropoffs=dict(flow_set.dropoffs),
             pickup_rates={},
-            dropoff_rates=dict(flow_set.dropoff_rates),
         )
         with pytest.raises(DecompositionError):
             build_delivery_schedule(stripped, impossible)

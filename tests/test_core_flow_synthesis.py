@@ -56,7 +56,7 @@ class TestSynthesisSuccess:
         flow_set = result.flow_set
         for product in workload.requested_products():
             rate = sum(
-                value for (_, p), value in flow_set.dropoff_rates.items() if p == product
+                value for (_, p), value in flow_set.pickup_rates.items() if p == product
             )
             assert rate * flow_set.effective_periods >= workload.demand(product) - 1e-6
 

@@ -1,5 +1,7 @@
 """Tests for the multi-agent solvers: prioritized, CBS, ECBS, and the lifelong planner."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +203,23 @@ class TestIteratedPlanner:
         ).solve(tasks)
         assert not result.completed
         assert result.goals_completed < result.goals_total
+
+    def test_demotion_ladder_shares_the_time_limit(self, monkeypatch):
+        """Rungs after a timed-out attempt get what is left, not a fresh budget."""
+        floorplan = open_floorplan(6, 4)
+        tasks = [
+            LifelongTask(i, floorplan.vertex_at((i, 0)), (floorplan.vertex_at((5 - i, 3)),))
+            for i in range(4)
+        ]
+
+        def searches_until_its_limit(self, problem, time_limit, dispatched, node_limit=None):
+            time.sleep(min(time_limit, 0.2))
+            return None
+
+        monkeypatch.setattr(IteratedPlanner, "_solve_episode", searches_until_its_limit)
+        result = IteratedPlanner(floorplan, IteratedPlannerOptions(time_limit=0.3)).solve(tasks)
+        assert result.status == "time_limit"
+        assert result.runtime_seconds < 0.5
 
     def test_bad_engine_rejected(self):
         with pytest.raises(LifelongError):
