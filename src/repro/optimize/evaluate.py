@@ -40,6 +40,7 @@ from ..experiments.scenario import ScenarioSpec
 from ..experiments.store import STATUS_ERROR, ResultStore, RunRecord
 from ..service.api import ServiceRequest, ServiceResponse
 from ..service.cache import ResultCache
+from ..service.client import RoundRobinClient, ServiceClientError
 from ..service.server import ServiceConfig, SolveService
 
 
@@ -218,28 +219,26 @@ class RemoteEvaluator(_TalliedEvaluator):
     """Evaluate against a fleet of ``repro serve`` replicas, round-robin."""
 
     def __init__(self, urls: Sequence[str], timeout: float = 300.0):
-        from ..service.client import RoundRobinClient, ServiceClientError
-
         super().__init__()
-        self._client_error = ServiceClientError
         self.client = RoundRobinClient(urls, timeout=timeout)
 
     def evaluate(self, spec: ScenarioSpec) -> Evaluation:
         started = time.perf_counter()
         cache = ""
         try:
-            status, view = self.client.solve(ServiceRequest(scenario=spec))
-            document = view.document
+            status, document = self.client.solve_prepared(
+                self.client.render(ServiceRequest(scenario=spec))
+            )
             if status < 400 and isinstance(document.get("record"), dict):
                 record = RunRecord.from_dict(document["record"])
-                cache = view.cache
+                cache = str(document.get("cache", ""))
             else:
                 record = _error_record(
                     spec,
                     f"replica answered HTTP {status}: "
                     f"{document.get('message') or document.get('state', '')}",
                 )
-        except self._client_error as error:
+        except ServiceClientError as error:
             record = _error_record(spec, f"replica unreachable: {error}")
         return self._tally(
             Evaluation(

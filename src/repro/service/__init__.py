@@ -20,9 +20,9 @@ Turns the one-shot pipeline into a long-lived service traffic can hit:
   ``http_workers`` server processes sharing one port (SO_REUSEPORT, or a
   shared inherited listener), the JSONL store as the cross-process warm
   layer, and a hand-rolled ``POST /solve`` hot path;
-* :mod:`repro.service.client` — stdlib HTTP client, the raw-socket
-  :class:`FastServiceClient` / round-robin replica fan-out, and the
-  cold/warm/overload + saturation load-generator harness behind
+* :mod:`repro.service.client` — :class:`ServiceClient`, the one
+  keep-alive client of every endpoint, its round-robin replica fan-out,
+  and the cold/warm/overload + saturation load-generator harness behind
   ``repro loadtest``.
 
 ``repro serve`` boots the server; latency/throughput reporting lives in
@@ -42,7 +42,6 @@ from .api import (
 )
 from .cache import CACHEABLE_STATUSES, ResultCache
 from .client import (
-    FastServiceClient,
     LoadTestOptions,
     LoadTestReport,
     RoundRobinClient,
@@ -64,7 +63,6 @@ __all__ = [
     "STATE_PENDING",
     "STATE_REJECTED",
     "STATE_RUNNING",
-    "FastServiceClient",
     "LoadTestOptions",
     "LoadTestReport",
     "PoolDraining",

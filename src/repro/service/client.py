@@ -1,8 +1,12 @@
-"""Stdlib HTTP client and the load-generator harness.
+"""The service's HTTP client and the load-generator harness.
 
-:class:`ServiceClient` is a thin ``http.client`` wrapper speaking the JSON
-contract of :mod:`repro.service.server` — one persistent connection per
-client, so a load-test thread models one keep-alive user.
+:class:`ServiceClient` speaks the JSON contract of :mod:`repro.service.server`
+over one keep-alive socket, so a load-test thread models one keep-alive
+user.  Requests go out as bytes and replies come back through a readline
+header scan: :meth:`~ServiceClient.render` serializes a ``/solve`` request
+once and :meth:`~ServiceClient.solve_prepared` replays it, which is how the
+load generator reaches tens of thousands of requests per second.
+:class:`RoundRobinClient` fans those bytes out over a replica fleet.
 
 :func:`run_loadtest` is the measurement harness behind ``repro loadtest``
 and ``benchmarks/test_bench_service.py``.  It drives a running service
@@ -17,6 +21,9 @@ through three phases:
   beyond the pool's admission bound: the service must answer every one,
   mostly with explicit 429 rejections, and never crash or queue unboundedly.
 
+:func:`run_saturation` measures warm throughput at increasing concurrency;
+both run their client threads through one driver loop.
+
 HTTP 429/503 are counted as *rejections* (correct overload behaviour), 5xx
 as server errors, socket-level failures as transport errors; the report's
 :meth:`~LoadTestReport.acceptable` collapses all of that into the PR's
@@ -25,13 +32,15 @@ acceptance criteria.
 
 from __future__ import annotations
 
-import http.client
 import json
+import math
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import cycle, islice
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from ..experiments.scenario import ScenarioSpec
@@ -40,11 +49,50 @@ from .api import ServiceRequest, ServiceResponse
 
 
 class ServiceClientError(RuntimeError):
-    """Raised for transport-level failures (connect/read/protocol)."""
+    """Raised for transport-level failures and replies that do not parse."""
+
+
+def _read_head(rfile: BinaryIO, line: bytes) -> Tuple[int, Optional[int], bool]:
+    """Parse a response head from its status ``line`` on.
+
+    Returns ``(status, Content-Length or None, close)``; an interim
+    ``100 Continue`` head is skipped.  Raises ``ConnectionError`` when the
+    connection closes early and ``ValueError`` on a malformed head.
+    """
+    while True:
+        if not line:
+            raise ConnectionError("connection closed before the status line")
+        status = int(line.partition(b" ")[2][:3])
+        length: Optional[int] = None
+        close = False
+        while True:
+            header = rfile.readline(65537)
+            if not header:
+                raise ConnectionError("connection closed inside the response headers")
+            if header in (b"\r\n", b"\n"):
+                break
+            key, _, value = header.partition(b":")
+            key = key.strip().lower()
+            if key == b"content-length":
+                length = int(value)
+            elif key == b"connection":
+                close = value.strip().lower() == b"close"
+        if status != 100:
+            return status, length, close
+        line = rfile.readline(65537)
+
+
+def _label(wire: bytes) -> str:
+    """``METHOD /path`` of a rendered request, for error messages."""
+    return wire.partition(b" HTTP/")[0].decode("latin-1")
 
 
 class ServiceClient:
-    """One keep-alive HTTP connection to a running service."""
+    """One keep-alive HTTP/1.1 connection to a running service.
+
+    ``batch`` and ``stream_events`` answers are delimited by connection
+    close, so each of those calls opens a connection of its own.
+    """
 
     def __init__(self, base_url: str, timeout: float = 300.0):
         parts = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
@@ -53,20 +101,18 @@ class ServiceClient:
         self.host = parts.hostname or "127.0.0.1"
         self.port = parts.port or 80
         self.timeout = timeout
-        self._connection: Optional[http.client.HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        self._rfile: Optional[BinaryIO] = None
 
     # -- plumbing ---------------------------------------------------------------
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._connection is None:
-            self._connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._connection
-
     def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        for stream in (self._rfile, self._sock):
+            if stream is not None:
+                try:
+                    stream.close()
+                except OSError:
+                    pass
+        self._rfile = self._sock = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -74,29 +120,85 @@ class ServiceClient:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    def _request(
-        self, method: str, path: str, body: Optional[Dict] = None
-    ) -> Tuple[int, Dict]:
-        payload = None if body is None else json.dumps(body).encode()
-        headers = {"Content-Type": "application/json"} if payload else {}
-        for attempt in (1, 2):  # one retry after a dropped keep-alive connection
-            connection = self._connect()
+    def _wire(
+        self, method: str, path: str, body: Optional[bytes] = None, close: bool = False
+    ) -> bytes:
+        """One request as bytes."""
+        if not (path.isascii() and path.isprintable()) or " " in path:
+            raise ServiceClientError(f"invalid request path {path!r}")
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        if close:
+            head += "Connection: close\r\n"
+        return (head + "\r\n").encode("latin-1") + (body or b"")
+
+    def _send(self, wire: bytes) -> Tuple[int, Dict]:
+        """Send ``wire`` on the keep-alive connection; ``(status, reply document)``.
+
+        The request is sent once more, on a new connection, only when a
+        reused connection fails before any reply arrives (the server closed
+        it while idle).  A timeout, a failure after the reply began, or a
+        reply that does not parse raises :class:`ServiceClientError`.
+        """
+        while True:
+            reused = self._sock is not None
             try:
-                connection.request(method, path, body=payload, headers=headers)
-                reply = connection.getresponse()
-                raw = reply.read()
+                if not reused:
+                    self._sock = socket.create_connection(
+                        (self.host, self.port), timeout=self.timeout
+                    )
+                    self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    self._rfile = self._sock.makefile("rb", 65536)
+                self._sock.sendall(wire)
+                line = self._rfile.readline(65537)
+                if not line:
+                    raise ConnectionError("connection closed before the status line")
                 break
-            except (OSError, http.client.HTTPException) as error:
+            except OSError as error:
                 self.close()
-                if attempt == 2:
+                if not reused or isinstance(error, socket.timeout):
                     raise ServiceClientError(
-                        f"{method} {path} failed: {type(error).__name__}: {error}"
+                        f"{_label(wire)} failed: {type(error).__name__}: {error}"
                     ) from error
         try:
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ServiceClientError(f"{method} {path}: non-JSON reply: {error}") from error
-        return reply.status, document
+            status, length, close = _read_head(self._rfile, line)
+            body = self._rfile.read() if length is None else self._rfile.read(length)
+            if length is not None and len(body) < length:
+                raise ConnectionError("connection closed inside the response body")
+        except (OSError, ValueError) as error:
+            self.close()
+            raise ServiceClientError(
+                f"{_label(wire)}: broken reply: {type(error).__name__}: {error}"
+            ) from error
+        if close or length is None:
+            self.close()
+        try:
+            return status, json.loads(body) if body else {}
+        except ValueError as error:
+            raise ServiceClientError(f"{_label(wire)}: non-JSON reply: {error}") from error
+
+    def _request(
+        self, method: str, path: str, document: Optional[Dict] = None
+    ) -> Tuple[int, Dict]:
+        body = None if document is None else json.dumps(document).encode()
+        return self._send(self._wire(method, path, body))
+
+    @contextmanager
+    def _stream(
+        self, method: str, path: str, body: Optional[bytes], timeout: float
+    ) -> Iterator[BinaryIO]:
+        """A dedicated connection for a close-delimited answer; yields its body."""
+        with socket.create_connection((self.host, self.port), timeout=timeout) as sock:
+            with sock.makefile("rb") as rfile:
+                sock.sendall(self._wire(method, path, body, close=True))
+                try:
+                    status, _, _ = _read_head(rfile, rfile.readline(65537))
+                except ValueError as error:
+                    raise ServiceClientError(f"{method} {path}: broken reply: {error}") from error
+                if status != 200:
+                    raise ServiceClientError(f"{method} {path} failed with HTTP {status}")
+                yield rfile
 
     # -- endpoints --------------------------------------------------------------
     def health(self) -> Dict:
@@ -110,7 +212,7 @@ class ServiceClient:
 
     def optimize(self, document: Dict) -> Tuple[int, Dict]:
         """Start an optimization campaign (``POST /optimize``)."""
-        return self._request("POST", "/optimize", body=document)
+        return self._request("POST", "/optimize", document)
 
     def optimize_status(self, campaign_id: str = "") -> Tuple[int, Dict]:
         """One campaign's status, or the campaign registry when id is empty."""
@@ -145,44 +247,42 @@ class ServiceClient:
     ) -> List[Dict]:
         """Read the SSE ``/events`` stream and collect the ``data:`` payloads.
 
-        Uses a dedicated connection (the stream is close-delimited, so it
-        must not share the keep-alive connection).  Returns once the server
-        closes the stream (``max_events`` reached, drain) or ``max_seconds``
-        elapses client-side, whichever is first.
+        Returns once the server closes the stream (``max_events`` reached,
+        drain) or ``max_seconds`` elapses client-side, whichever is first.
         """
         path = f"/events?since={since}&max={max_events}&keepalive={keepalive:g}"
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=max(0.2, max_seconds)
-        )
         events: List[Dict] = []
         deadline = time.monotonic() + max_seconds
         try:
-            connection.request("GET", path)
-            reply = connection.getresponse()
-            if reply.status != 200:
-                raise ServiceClientError(f"GET /events failed with HTTP {reply.status}")
-            while time.monotonic() < deadline:
-                line = reply.fp.readline()
-                if not line:
-                    break  # server closed the stream
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text.startswith("data:"):
-                    continue  # id:/event: fields and keep-alive comments
-                try:
-                    events.append(json.loads(text[len("data:"):].strip()))
-                except json.JSONDecodeError as error:
-                    raise ServiceClientError(f"malformed SSE data line: {error}")
-                if max_events and len(events) >= max_events:
-                    break
-        except (OSError, http.client.HTTPException) as error:
+            with self._stream("GET", path, None, timeout=max(0.2, max_seconds)) as rfile:
+                while time.monotonic() < deadline:
+                    line = rfile.readline()
+                    if not line:
+                        break  # server closed the stream
+                    text = line.decode("utf-8", errors="replace").strip()
+                    if not text.startswith("data:"):
+                        continue  # id:/event: fields and keep-alive comments
+                    try:
+                        events.append(json.loads(text[len("data:"):]))
+                    except ValueError as error:
+                        raise ServiceClientError(f"malformed SSE data line: {error}") from error
+                    if max_events and len(events) >= max_events:
+                        break
+        except OSError as error:
             if not events:  # a timeout after some events is a normal tail end
                 raise ServiceClientError(f"GET /events failed: {error}") from error
-        finally:
-            connection.close()
         return events
 
+    def render(self, request: ServiceRequest) -> bytes:
+        """Serialize one ``/solve`` request to bytes :meth:`solve_prepared` replays."""
+        return self._wire("POST", "/solve", json.dumps(request.to_dict()).encode())
+
+    def solve_prepared(self, wire: bytes) -> Tuple[int, Dict]:
+        """Send bytes from :meth:`render`; returns ``(status, response document)``."""
+        return self._send(wire)
+
     def solve(self, request: ServiceRequest) -> Tuple[int, ServiceResponse]:
-        status, document = self._request("POST", "/solve", request.to_dict())
+        status, document = self._send(self.render(request))
         return status, ServiceResponse.from_dict(document)
 
     def submit(self, request: ServiceRequest) -> Tuple[int, ServiceResponse]:
@@ -202,200 +302,51 @@ class ServiceClient:
         """POST /batch; collects the NDJSON stream back into *input order*.
 
         The server streams lines in completion order, each tagged with its
-        input ``index``; this client reorders on that tag (lines without one
-        — older servers — are assumed already ordered).
+        input ``index``; this client reorders on that tag.
         """
-        payload = json.dumps([request.to_dict() for request in requests]).encode()
-        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        body = json.dumps([request.to_dict() for request in requests]).encode()
         try:
-            connection.request(
-                "POST", "/batch", body=payload, headers={"Content-Type": "application/json"}
-            )
-            reply = connection.getresponse()
-            if reply.status != 200:
-                raise ServiceClientError(f"POST /batch failed with HTTP {reply.status}")
-            tagged: List[Tuple[int, ServiceResponse]] = []
-            for position, line in enumerate(reply.read().decode("utf-8").splitlines()):
-                if not line.strip():
-                    continue
-                document = json.loads(line)
-                index = document.pop("index", position)
-                tagged.append((int(index), ServiceResponse.from_dict(document)))
-            tagged.sort(key=lambda pair: pair[0])
-            return [response for _, response in tagged]
-        except (OSError, http.client.HTTPException) as error:
+            with self._stream("POST", "/batch", body, self.timeout) as rfile:
+                lines = rfile.read().splitlines()
+        except OSError as error:
             raise ServiceClientError(f"POST /batch failed: {error}") from error
-        finally:
-            connection.close()
-
-
-# ---------------------------------------------------------------------------
-# high-rate clients
-# ---------------------------------------------------------------------------
-
-class _ResponseView:
-    """The few response fields the load recorder reads, parsed cheaply.
-
-    Quacks like :class:`~repro.service.api.ServiceResponse` for exactly the
-    attributes the measurement path touches (``state``, ``cache``,
-    ``terminal``, ``served_from_cache``) without the full schema validation —
-    at tens of thousands of responses per second the difference shows.
-    """
-
-    __slots__ = ("state", "cache", "document")
-
-    def __init__(self, document: Dict):
-        self.state = str(document.get("state", ""))
-        self.cache = str(document.get("cache", ""))
-        #: The full parsed response document — a reference, not a copy, so the
-        #: hot measurement path pays nothing while consumers that need the
-        #: embedded run record (``repro.optimize``'s remote evaluator) keep it.
-        self.document = document
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in RUN_STATUSES
-
-    @property
-    def served_from_cache(self) -> bool:
-        return self.cache in ("hit", "store", "coalesced")
-
-
-class FastServiceClient:
-    """Raw-socket ``/solve`` client built for load generation.
-
-    One keep-alive connection, request bytes rendered once and replayed
-    (:meth:`render`), and a readline header scan instead of
-    ``http.client``'s full response machinery.  Works against both the
-    threading and the pre-fork servers — it speaks plain HTTP/1.1.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 300.0):
-        parts = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
-        if parts.scheme not in ("", "http"):
-            raise ServiceClientError(f"only http:// urls are supported (got {base_url!r})")
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 80
-        self.timeout = timeout
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-
-    def _connect(self) -> None:
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._rfile = sock.makefile("rb", 65536)
-
-    def close(self) -> None:
-        if self._rfile is not None:
+        tagged: List[Tuple[int, ServiceResponse]] = []
+        for line in lines:
+            if not line.strip():
+                continue
             try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def __enter__(self) -> "FastServiceClient":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def render(self, request: ServiceRequest) -> bytes:
-        """Serialize one request to reusable wire bytes (head + body)."""
-        body = json.dumps(request.to_dict()).encode()
-        head = (
-            f"POST /solve HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("latin-1")
-        return head + body
-
-    def solve_prepared(self, wire: bytes) -> Tuple[int, _ResponseView]:
-        """Send pre-rendered wire bytes; returns ``(status, response view)``."""
-        for attempt in (1, 2):  # one retry after a dropped keep-alive connection
-            try:
-                if self._sock is None:
-                    self._connect()
-                self._sock.sendall(wire)
-                return self._read_response()
-            except (OSError, ValueError) as error:
-                self.close()
-                if attempt == 2:
-                    raise ServiceClientError(
-                        f"POST /solve failed: {type(error).__name__}: {error}"
-                    ) from error
-        raise ServiceClientError("unreachable")  # pragma: no cover
-
-    def solve(self, request: ServiceRequest) -> Tuple[int, _ResponseView]:
-        return self.solve_prepared(self.render(request))
-
-    def _read_response(self) -> Tuple[int, _ResponseView]:
-        rfile = self._rfile
-        line = rfile.readline(65537)
-        if not line:
-            raise OSError("connection closed before the status line")
-        status = int(line.split(None, 2)[1])
-        length: Optional[int] = None
-        close = False
-        while True:
-            line = rfile.readline(65537)
-            if not line:
-                raise OSError("connection closed inside the response headers")
-            if line in (b"\r\n", b"\n"):
-                break
-            key, _, value = line.partition(b":")
-            key = key.strip().lower()
-            if key == b"content-length":
-                length = int(value.strip())
-            elif key == b"connection" and value.strip().lower() == b"close":
-                close = True
-        if status == 100:  # interim: the real response follows
-            return self._read_response()
-        if length is None:
-            body = rfile.read()
-            close = True
-        else:
-            body = rfile.read(length)
-            if len(body) < length:
-                raise OSError("connection closed inside the response body")
-        if close:
-            self.close()
-        document = json.loads(body) if body else {}
-        return status, _ResponseView(document)
+                document = json.loads(line)
+                index = int(document.pop("index"))
+            except (ValueError, KeyError) as error:
+                raise ServiceClientError(
+                    f"POST /batch: malformed line {line[:80]!r}: {error!r}"
+                ) from error
+            tagged.append((index, ServiceResponse.from_dict(document)))
+        tagged.sort(key=lambda pair: pair[0])
+        return [response for _, response in tagged]
 
 
 class RoundRobinClient:
     """Fan one logical client out over N service replicas, round-robin.
 
-    Holds one keep-alive :class:`FastServiceClient` per replica and rotates
-    per request.  ``render`` produces replica-agnostic wire bytes (the
-    servers do not dispatch on ``Host``), so one rendering serves the whole
-    fleet.
+    Holds one keep-alive :class:`ServiceClient` per replica and rotates per
+    request.  ``render`` produces replica-agnostic wire bytes (the servers
+    do not dispatch on ``Host``), so one rendering serves the whole fleet.
     """
 
     def __init__(self, urls: Sequence[str], timeout: float = 300.0):
         if not urls:
             raise ServiceClientError("round-robin client needs at least one url")
-        self.clients = [FastServiceClient(url, timeout=timeout) for url in urls]
+        self.clients = [ServiceClient(url, timeout=timeout) for url in urls]
         self._next = 0
 
     def render(self, request: ServiceRequest) -> bytes:
         return self.clients[0].render(request)
 
-    def solve_prepared(self, wire: bytes) -> Tuple[int, _ResponseView]:
+    def solve_prepared(self, wire: bytes) -> Tuple[int, Dict]:
         client = self.clients[self._next]
         self._next = (self._next + 1) % len(self.clients)
         return client.solve_prepared(wire)
-
-    def solve(self, request: ServiceRequest) -> Tuple[int, _ResponseView]:
-        return self.solve_prepared(self.render(request))
 
     def close(self) -> None:
         for client in self.clients:
@@ -412,51 +363,28 @@ class RoundRobinClient:
 # load generator
 # ---------------------------------------------------------------------------
 
-def _registry_value(snapshot: Dict, name: str, labels: Optional[Dict] = None):
-    """Look one metric up in a registry snapshot (``None`` when absent)."""
-    for entry in snapshot.get("metrics", []):
-        if entry.get("name") != name:
-            continue
-        if labels is not None and entry.get("labels", {}) != labels:
-            continue
-        return entry.get("value")
-    return None
-
-
 def service_summary(metrics: Dict) -> Dict:
     """Condense a ``/metrics`` document into the load-test report's service section.
 
-    The interesting server-side numbers — cache hit rate, pool saturation,
-    runs by pipeline status — live in the metrics registry snapshot; the
-    ``cache``/``pool`` sections fill the gaps so the summary still works
-    against a server predating the registry.
+    Cache hit rate, pool saturation and runs by pipeline status come from
+    the metrics registry snapshot; pool rejections from the pool section.
     """
     if not metrics:
         return {}
-    registry = metrics.get("registry", {})
-    cache = metrics.get("cache", {})
-    pool = metrics.get("pool", {})
-
-    def gauge(name: str, fallback: float) -> float:
-        value = _registry_value(registry, name)
-        return float(fallback if value is None else value)
-
-    workers = gauge("repro_pool_workers", pool.get("workers", 0))
-    in_flight = gauge("repro_pool_in_flight", pool.get("in_flight", 0))
-    capacity = pool.get("workers", 0) + pool.get("max_pending", 0)
-    fallback_saturation = in_flight / capacity if capacity else 0.0
-    runs_by_status = {}
-    for entry in registry.get("metrics", []):
-        if entry.get("name") == "repro_runs_total":
-            status = entry.get("labels", {}).get("status", "unknown")
+    entries = metrics["registry"]["metrics"]
+    gauges = {entry["name"]: entry["value"] for entry in entries if entry["type"] == "gauge"}
+    runs_by_status: Dict[str, int] = {}
+    for entry in entries:
+        if entry["name"] == "repro_runs_total":
+            status = entry["labels"].get("status", "unknown")
             runs_by_status[status] = runs_by_status.get(status, 0) + int(entry["value"])
     return {
-        "cache_hit_rate": gauge("repro_cache_hit_rate", cache.get("hit_rate", 0.0)),
-        "cache_size": int(gauge("repro_cache_size", cache.get("size", 0))),
-        "pool_saturation": gauge("repro_pool_saturation", fallback_saturation),
-        "pool_in_flight": int(in_flight),
-        "pool_workers": int(workers),
-        "pool_rejected": int(pool.get("rejected", 0)),
+        "cache_hit_rate": float(gauges["repro_cache_hit_rate"]),
+        "cache_size": int(gauges["repro_cache_size"]),
+        "pool_saturation": float(gauges["repro_pool_saturation"]),
+        "pool_in_flight": int(gauges["repro_pool_in_flight"]),
+        "pool_workers": int(gauges["repro_pool_workers"]),
+        "pool_rejected": int(metrics["pool"]["rejected"]),
         "runs_by_status": dict(sorted(runs_by_status.items())),
     }
 
@@ -611,80 +539,85 @@ class LoadTestReport:
         return document
 
 
-class _Recorder:
-    """Thread-safe accumulation of per-request observations."""
-
-    def __init__(self, report: LoadTestReport):
-        self.report = report
-        self.lock = threading.Lock()
-
-    def observe(
-        self,
-        phase: str,
-        seconds: float,
-        status: Optional[int],
-        response: Optional[ServiceResponse],
-    ) -> None:
-        with self.lock:
-            report = self.report
-            if status is None:
-                report.transport_errors += 1
-                return
-            report.http_statuses[status] = report.http_statuses.get(status, 0) + 1
-            if status >= 500 and status != 503:
-                report.server_errors += 1
-            if status in (429, 503):
-                report.rejections += 1
-            if response is not None and response.terminal:
-                report.states[response.state] = report.states.get(response.state, 0) + 1
-                report.phase_latencies.setdefault(phase, []).append(seconds)
-                if response.served_from_cache:
-                    report.cache_hits += 1
+#: One request as the driver saw it: (seconds, HTTP status or ``None`` for a
+#: transport failure, response state, cache outcome).
+Observation = Tuple[float, Optional[int], str, str]
 
 
 def _drive(
     urls: Sequence[str],
-    requests: Sequence[ServiceRequest],
-    recorder: _Recorder,
-    phase: str,
+    wires: Iterable[bytes],
+    deadline: float,
     timeout: float,
+    observations: List[Observation],
 ) -> None:
-    """One client thread: keep-alive connections, replicas driven round-robin."""
+    """One client thread: send ``wires`` round-robin over keep-alive
+    connections to ``urls`` until they run out or ``deadline`` passes."""
     with RoundRobinClient(urls, timeout=timeout) as client:
-        # Render outside the timed loop: the measurement is the service, not
-        # this generator's JSON encoder (and replayed identical bytes are
-        # exactly what a cache-warm fleet sees).
-        wires = [client.render(request) for request in requests]
         for wire in wires:
+            if time.perf_counter() >= deadline:
+                break
             start = time.perf_counter()
             try:
-                status, response = client.solve_prepared(wire)
+                status, document = client.solve_prepared(wire)
             except ServiceClientError:
-                recorder.observe(phase, time.perf_counter() - start, None, None)
+                observations.append((time.perf_counter() - start, None, "", ""))
                 continue
-            recorder.observe(phase, time.perf_counter() - start, status, response)
+            observations.append(
+                (
+                    time.perf_counter() - start,
+                    status,
+                    document.get("state", ""),
+                    document.get("cache", ""),
+                )
+            )
 
 
-def _run_phase(
+def _run_clients(
     urls: Sequence[str],
-    phase: str,
-    per_client: Sequence[Sequence[ServiceRequest]],
-    recorder: _Recorder,
+    per_client: Sequence[Iterable[bytes]],
     timeout: float,
-) -> float:
+    duration: float = math.inf,
+) -> Tuple[float, List[Observation]]:
+    """One :func:`_drive` thread per wire sequence, bounded by the sequences'
+    lengths or by ``duration`` seconds; returns (wall seconds, observations).
+
+    Callers render the requests before the clock starts: the measurement is
+    the service, not this generator's JSON encoder (and replayed identical
+    bytes are exactly what a cache-warm fleet sees).
+    """
+    sinks: List[List[Observation]] = [[] for _ in per_client]
+    deadline = time.perf_counter() + duration
     threads = [
         threading.Thread(
-            target=_drive, args=(urls, requests, recorder, phase, timeout), daemon=True
+            target=_drive, args=(urls, wires, deadline, timeout, sink), daemon=True
         )
-        for requests in per_client
-        if requests
+        for wires, sink in zip(per_client, sinks)
     ]
     start = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    return time.perf_counter() - start
+    return time.perf_counter() - start, [entry for sink in sinks for entry in sink]
+
+
+def _record(report: LoadTestReport, phase: str, observations: List[Observation]) -> None:
+    """Fold one phase's observations into the report."""
+    for seconds, status, state, cache in observations:
+        if status is None:
+            report.transport_errors += 1
+            continue
+        report.http_statuses[status] = report.http_statuses.get(status, 0) + 1
+        if status >= 500 and status != 503:
+            report.server_errors += 1
+        if status in (429, 503):
+            report.rejections += 1
+        if state in RUN_STATUSES:
+            report.states[state] = report.states.get(state, 0) + 1
+            report.phase_latencies.setdefault(phase, []).append(seconds)
+            if cache in ("hit", "store", "coalesced"):
+                report.cache_hits += 1
 
 
 def run_loadtest(
@@ -711,53 +644,43 @@ def run_loadtest(
         clients=options.clients,
         replicas=len(urls),
     )
-    recorder = _Recorder(report)
-
-    # -- cold: every distinct scenario once, recomputation forced --------------
-    cold = [ServiceRequest(scenario=spec, fresh=True, tag="cold") for spec in specs]
-    per_client: List[List[ServiceRequest]] = [[] for _ in range(options.clients)]
-    for index, request in enumerate(cold):
-        per_client[index % options.clients].append(request)
-    report.phase_seconds["cold"] = _run_phase(
-        urls, "cold", per_client, recorder, options.timeout
-    )
-
-    # -- warm: concurrent clients replaying the same scenarios -----------------
-    warm_per_client = []
-    for client_index in range(options.clients):
-        batch = [
-            ServiceRequest(scenario=specs[(client_index + i) % len(specs)], tag="warm")
-            for i in range(options.requests_per_client)
+    clients = options.clients
+    with RoundRobinClient(urls, timeout=options.timeout) as probe:
+        # cold: every distinct scenario once, recomputation forced
+        cold = [
+            probe.render(ServiceRequest(scenario=spec, fresh=True, tag="cold"))
+            for spec in specs
         ]
-        warm_per_client.append(batch)
-    report.phase_seconds["warm"] = _run_phase(
-        urls, "warm", warm_per_client, recorder, options.timeout
-    )
-
-    # -- overload: a burst of distinct fresh scenarios beyond admission --------
-    if options.overload:
-        burst = [
-            ServiceRequest(
-                scenario=replace(specs[i % len(specs)], seed=10_000 + i),
-                fresh=True,
-                tag="overload",
-            )
-            for i in range(options.overload_requests)
-        ]
-        overload_per_client: List[List[ServiceRequest]] = [
-            [] for _ in range(options.clients)
-        ]
-        for index, request in enumerate(burst):
-            overload_per_client[index % options.clients].append(request)
-        report.phase_seconds["overload"] = _run_phase(
-            urls, "overload", overload_per_client, recorder, options.timeout
-        )
-
-    try:
-        with ServiceClient(urls[0], timeout=options.timeout) as client:
-            report.metrics = client.metrics()
-    except ServiceClientError:
-        report.metrics = {}
+        # warm: concurrent clients replaying the same scenarios
+        warm = [probe.render(ServiceRequest(scenario=spec, tag="warm")) for spec in specs]
+        phases = {
+            "cold": [cold[index::clients] for index in range(clients)],
+            "warm": [
+                list(islice(cycle(warm), index, index + options.requests_per_client))
+                for index in range(clients)
+            ],
+        }
+        # overload: a burst of distinct fresh scenarios beyond admission
+        if options.overload:
+            burst = [
+                probe.render(
+                    ServiceRequest(
+                        scenario=replace(specs[i % len(specs)], seed=10_000 + i),
+                        fresh=True,
+                        tag="overload",
+                    )
+                )
+                for i in range(options.overload_requests)
+            ]
+            phases["overload"] = [burst[index::clients] for index in range(clients)]
+        for phase, per_client in phases.items():
+            seconds, observations = _run_clients(urls, per_client, options.timeout)
+            report.phase_seconds[phase] = seconds
+            _record(report, phase, observations)
+        try:
+            report.metrics = probe.clients[0].metrics()
+        except ServiceClientError:
+            report.metrics = {}
     report.service = service_summary(report.metrics)
     return report
 
@@ -765,44 +688,6 @@ def run_loadtest(
 # ---------------------------------------------------------------------------
 # saturation curve
 # ---------------------------------------------------------------------------
-
-def _saturate_thread(
-    urls: Sequence[str],
-    wires: Sequence[bytes],
-    offset: int,
-    deadline: float,
-    timeout: float,
-    results: List[Tuple[int, List[float], int, int]],
-    index: int,
-) -> None:
-    completed = 0
-    latencies: List[float] = []
-    errors = 0
-    rejections = 0
-    try:
-        with RoundRobinClient(urls, timeout=timeout) as client:
-            cursor = offset
-            while time.perf_counter() < deadline:
-                wire = wires[cursor % len(wires)]
-                cursor += 1
-                start = time.perf_counter()
-                try:
-                    status, response = client.solve_prepared(wire)
-                except ServiceClientError:
-                    errors += 1
-                    continue
-                elapsed = time.perf_counter() - start
-                if status in (429, 503):
-                    rejections += 1
-                elif status >= 500 or not response.terminal:
-                    errors += 1
-                else:
-                    completed += 1
-                    latencies.append(elapsed)
-    except ServiceClientError:
-        errors += 1
-    results[index] = (completed, latencies, errors, rejections)
-
 
 def run_saturation(
     urls: Union[str, Sequence[str]],
@@ -826,48 +711,39 @@ def run_saturation(
     if not specs:
         raise ValueError("saturation needs at least one scenario spec")
     url_list = [urls] if isinstance(urls, str) else list(urls)
-    probe = RoundRobinClient(url_list, timeout=timeout)
-    wires = [
-        probe.render(ServiceRequest(scenario=spec, tag="saturation")) for spec in specs
-    ]
-    probe.close()
+    with RoundRobinClient(url_list, timeout=timeout) as probe:
+        wires = [
+            probe.render(ServiceRequest(scenario=spec, tag="saturation")) for spec in specs
+        ]
     points: List[Dict] = []
     for clients in clients_grid:
         if clients < 1:
             raise ValueError(f"clients must be positive (got {clients})")
-        results: List[Tuple[int, List[float], int, int]] = [(0, [], 0, 0)] * clients
-        deadline = time.perf_counter() + duration
-        threads = [
-            threading.Thread(
-                target=_saturate_thread,
-                args=(url_list, wires, offset, deadline, timeout, results, offset),
-                daemon=True,
-            )
-            for offset in range(clients)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        completed = sum(entry[0] for entry in results)
-        latencies = sorted(
-            sample for entry in results for sample in entry[1]
+        elapsed, observations = _run_clients(
+            url_list,
+            [islice(cycle(wires), offset, None) for offset in range(clients)],
+            timeout,
+            duration,
         )
-        errors = sum(entry[2] for entry in results)
-        rejections = sum(entry[3] for entry in results)
+        rejections = sum(status in (429, 503) for _, status, _, _ in observations)
+        latencies = [
+            seconds
+            for seconds, status, state, _ in observations
+            if state in RUN_STATUSES and status < 500 and status != 429
+        ]
         points.append(
             {
                 "clients": clients,
                 "http_workers": http_workers,
                 "replicas": len(url_list),
                 "seconds": round(elapsed, 6),
-                "requests": completed,
-                "throughput_rps": round(completed / elapsed, 3) if elapsed > 0 else 0.0,
+                "requests": len(latencies),
+                "throughput_rps": (
+                    round(len(latencies) / elapsed, 3) if elapsed > 0 else 0.0
+                ),
                 "p50_ms": round(percentile(latencies, 0.5) * 1000, 3),
                 "p99_ms": round(percentile(latencies, 0.99) * 1000, 3),
-                "errors": errors,
+                "errors": len(observations) - len(latencies) - rejections,
                 "rejections": rejections,
             }
         )
@@ -875,7 +751,6 @@ def run_saturation(
 
 
 __all__ = [
-    "FastServiceClient",
     "LoadTestOptions",
     "LoadTestReport",
     "RoundRobinClient",

@@ -40,24 +40,19 @@ import signal
 import socket
 import threading
 import time
-import uuid
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional
 
-from .api import STATE_INVALID, ServiceRequest, ServiceRequestError, ServiceResponse
-from .server import ServiceConfig, SolveService, _parse_request, _ServiceHandler
-
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    411: "Length Required",
-    413: "Content Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+from .api import ServiceRequest
+from .server import (
+    ServiceConfig,
+    SolveService,
+    _BadRequest,
+    _content_length,
+    _request_id,
+    _ServiceHandler,
+    _solve_request,
+)
 
 #: Memoized raw-body-bytes -> parsed request.  Loadtests (and real fleets
 #: replaying popular scenarios) send byte-identical bodies thousands of
@@ -71,7 +66,7 @@ def _parse_body_cached(body: bytes) -> ServiceRequest:
     """Parse a ``/solve`` body, memoized on the exact bytes."""
     request = _PARSE_CACHE.get(body)
     if request is None:
-        request = _parse_request(json.loads(body.decode("utf-8")))
+        request = _solve_request(body)
         if len(_PARSE_CACHE) >= _PARSE_CACHE_LIMIT:
             _PARSE_CACHE.clear()
         _PARSE_CACHE[body] = request
@@ -114,7 +109,7 @@ class _TurboHandler(_ServiceHandler):
         """One ``POST /solve`` with minimal framing: readline header scan,
         memoized parse, ``try_fast`` warm answer, single response write."""
         rfile = self.rfile
-        content_length = -1
+        content_length: Optional[str] = None
         request_id = ""
         expect_continue = False
         self.close_connection = False
@@ -125,55 +120,27 @@ class _TurboHandler(_ServiceHandler):
             key, _, value = line.partition(b":")
             key = key.strip().lower()
             if key == b"content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = -2
+                content_length = value.decode("latin-1")
             elif key == b"x-request-id":
-                request_id = value.strip().decode("latin-1", "replace")
+                request_id = value.decode("latin-1")
             elif key == b"connection":
                 if value.strip().lower() == b"close":
                     self.close_connection = True
             elif key == b"expect":
                 if value.strip().lower() == b"100-continue":
                     expect_continue = True
-        config = self.service.config
-        if content_length == -1:
-            self._fast_json(411, {"error": "Content-Length required"}, close=True)
-            return
-        if content_length < 0:
-            self._fast_json(
-                400, {"error": "Content-Length must be a non-negative integer"},
-                close=True,
-            )
-            return
-        if content_length > config.max_body_bytes:
-            self._fast_json(
-                413,
-                {
-                    "error": (
-                        f"request body of {content_length} bytes exceeds the "
-                        f"{config.max_body_bytes}-byte limit"
-                    )
-                },
-                close=True,
-            )
-            return
-        if expect_continue:
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        body = rfile.read(content_length)
-        if len(body) < content_length:
-            self.close_connection = True
-            return
-        if not (request_id and len(request_id) <= 128 and request_id.isprintable()):
-            request_id = f"req-{uuid.uuid4().hex[:12]}"
-        self.request_id = request_id
+        self.request_id = request_id = _request_id(request_id)
         try:
+            length = _content_length(content_length, self.service.config.max_body_bytes)
+            if expect_continue:
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = rfile.read(length)
+            if len(body) < length:
+                self.close_connection = True
+                return
             request = _parse_body_cached(body)
-        except (ValueError, TypeError, ServiceRequestError) as error:
-            response = ServiceResponse(state=STATE_INVALID, message=str(error))
-            response.request_id = request_id
-            self._fast_json(response.http_status, response.to_dict())
+        except _BadRequest as bad:
+            self._fast_json(bad.status, bad.document, close=bad.close)
             return
         payload = self.service.try_fast(request, request_id)
         if payload is not None:
@@ -197,7 +164,7 @@ class _TurboHandler(_ServiceHandler):
     ) -> None:
         """Status line + headers + body in one buffer, one ``write``."""
         head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
         )

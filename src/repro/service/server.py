@@ -943,6 +943,79 @@ def _parse_request(document: Dict) -> ServiceRequest:
     return ServiceRequest.from_dict(document)
 
 
+# The rules below are shared by both HTTP front ends (this module's
+# handler and the pre-fork ``POST /solve`` path), so a malformed request
+# gets the same answer from either.
+
+class _BadRequest(Exception):
+    """A request answered with ``status`` and ``document`` instead of served.
+
+    ``close`` marks answers given without consuming the body: keep-alive
+    would desynchronize, so the connection must close.
+    """
+
+    def __init__(self, status: int, document: Dict, close: bool = False):
+        super().__init__(status, document)
+        self.status = status
+        self.document = document
+        self.close = close
+
+
+def _content_length(value: Optional[str], limit: int) -> int:
+    """The declared body length; :class:`_BadRequest` when the header is
+    missing, malformed, negative or over ``limit``."""
+    if value is None:
+        raise _BadRequest(411, {"error": "Content-Length required"}, close=True)
+    value = value.strip()
+    try:
+        length = int(value)
+    except ValueError:
+        raise _BadRequest(
+            400, {"error": f"malformed Content-Length {value!r}"}, close=True
+        ) from None
+    if length < 0:
+        raise _BadRequest(400, {"error": "Content-Length must be non-negative"}, close=True)
+    if length > limit:
+        # Reading (or skipping) the body would be exactly the unbounded
+        # work the limit exists to avoid: answer and drop the connection.
+        raise _BadRequest(
+            413,
+            {"error": f"request body of {length} bytes exceeds the {limit}-byte limit"},
+            close=True,
+        )
+    return length
+
+
+def _request_id(supplied: Optional[str]) -> str:
+    """Accept the client's ``X-Request-Id`` or mint one."""
+    supplied = (supplied or "").strip()
+    # Header values travel into logs and response headers verbatim; keep
+    # them bounded and printable.
+    if supplied and len(supplied) <= 128 and supplied.isprintable():
+        return supplied
+    return f"req-{uuid.uuid4().hex[:12]}"
+
+
+def _json_body(raw: bytes):
+    """A request body's JSON document; :class:`_BadRequest` when it is not
+    UTF-8 JSON."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise _BadRequest(400, {"error": f"malformed JSON body: {error}"}) from None
+
+
+def _solve_request(raw: bytes) -> ServiceRequest:
+    """The request a ``/solve`` or ``/submit`` body carries; :class:`_BadRequest`
+    with an ``invalid`` service response when it carries none."""
+    document = _json_body(raw)
+    try:
+        return _parse_request(document)
+    except (ServiceRequestError, ValueError, TypeError) as error:
+        invalid = ServiceResponse(state=STATE_INVALID, message=str(error))
+        raise _BadRequest(invalid.http_status, invalid.to_dict()) from None
+
+
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto the :class:`SolveService` core."""
 
@@ -964,17 +1037,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 format = f"{format} rid={self.request_id}"
             super().log_message(format, *args)
 
-    def _assign_request_id(self) -> str:
-        """Accept the client's ``X-Request-Id`` or mint one."""
-        supplied = (self.headers.get("X-Request-Id") or "").strip()
-        # Header values travel into logs and response headers verbatim; keep
-        # them bounded and printable.
-        if supplied and len(supplied) <= 128 and supplied.isprintable():
-            self.request_id = supplied
-        else:
-            self.request_id = f"req-{uuid.uuid4().hex[:12]}"
-        return self.request_id
-
     # -- plumbing ---------------------------------------------------------------
     def _send_json(self, status: int, document: Dict, retry_after: Optional[float] = None) -> None:
         body = (json.dumps(document, sort_keys=True) + "\n").encode()
@@ -993,46 +1055,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             response.http_status, response.to_dict(), response.retry_after_seconds
         )
 
-    def _read_body(self) -> Optional[bytes]:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            # The body was never consumed: keep-alive would desynchronize.
-            self.close_connection = True
-            self._send_json(411, {"error": "Content-Length required"})
-            return None
-        try:
-            length = int(length)
-        except ValueError:
-            self.close_connection = True
-            self._send_json(400, {"error": f"malformed Content-Length {length!r}"})
-            return None
-        if length < 0:
-            self.close_connection = True
-            self._send_json(400, {"error": "Content-Length must be non-negative"})
-            return None
-        limit = self.service.config.max_body_bytes
-        if length > limit:
-            # Reading (or skipping) the body would be exactly the unbounded
-            # work the limit exists to avoid: answer and drop the connection.
-            self.close_connection = True
-            self._send_json(
-                413,
-                {"error": f"request body of {length} bytes exceeds the {limit}-byte limit"},
-            )
-            return None
+    def _read_body(self) -> bytes:
+        length = _content_length(
+            self.headers.get("Content-Length"), self.service.config.max_body_bytes
+        )
         try:
             return self.rfile.read(length)
         except OSError:
-            self.close_connection = True
-            self._send_json(400, {"error": "unreadable request body"})
-            return None
-
-    def _parse_body(self, raw: bytes) -> Optional[Dict]:
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._send_json(400, {"error": f"malformed JSON body: {error}"})
-            return None
+            raise _BadRequest(400, {"error": "unreadable request body"}, close=True) from None
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
@@ -1046,7 +1076,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- GET --------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._assign_request_id()
+        self.request_id = _request_id(self.headers.get("X-Request-Id"))
         parsed = urlparse(self.path)
         if parsed.path == "/healthz":
             health = self.service.health()
@@ -1172,21 +1202,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- POST -------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._assign_request_id()
-        raw = self._read_body()
-        if raw is None:
-            return
+        self.request_id = _request_id(self.headers.get("X-Request-Id"))
+        try:
+            self._post(self._read_body())
+        except _BadRequest as bad:
+            if bad.close:
+                self.close_connection = True
+            self._send_json(bad.status, bad.document)
+
+    def _post(self, raw: bytes) -> None:
         if self.path in ("/solve", "/submit"):
-            document = self._parse_body(raw)
-            if document is None:
-                return
-            try:
-                request = _parse_request(document)
-            except (ServiceRequestError, ValueError, TypeError) as error:
-                self._send_response(
-                    ServiceResponse(state=STATE_INVALID, message=str(error))
-                )
-                return
+            request = _solve_request(raw)
             if self.path == "/solve":
                 self._send_response(
                     self.service.resolve(request, request_id=self.request_id)
@@ -1200,10 +1226,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._handle_batch(raw)
             return
         if self.path == "/optimize":
-            document = self._parse_body(raw)
-            if document is None:
-                return
-            status, payload = self.service.start_optimize(document)
+            status, payload = self.service.start_optimize(_json_body(raw))
             self._send_json(
                 status, payload, retry_after=payload.get("retry_after_seconds")
             )

@@ -21,14 +21,16 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ScenarioSpec
+from repro.experiments.store import RUN_STATUSES
 from repro.service import (
-    FastServiceClient,
     LoadTestOptions,
+    PreforkServer,
     RoundRobinClient,
     ServiceClient,
     ServiceClientError,
     ServiceConfig,
     ServiceRequest,
+    ServiceResponse,
     ServiceServer,
     run_loadtest,
     run_saturation,
@@ -176,13 +178,13 @@ class TestEndpoints:
     def test_fast_client_speaks_to_the_threading_server(self, server):
         with ServiceClient(server.url, timeout=180) as seed:
             seed.solve(ServiceRequest(scenario=TINY))
-        with FastServiceClient(server.url, timeout=60) as client:
+        with ServiceClient(server.url, timeout=60) as client:
             wire = client.render(ServiceRequest(scenario=TINY))
             for _ in range(20):
-                status, view = client.solve_prepared(wire)
+                status, document = client.solve_prepared(wire)
                 assert status == 200
-                assert view.state == "ok" and view.terminal
-                assert view.served_from_cache
+                assert document["state"] == "ok" and document["state"] in RUN_STATUSES
+                assert document["cache"] in ("hit", "store", "coalesced")
 
     def test_round_robin_client_over_two_replicas(self, server):
         replica = ServiceServer(
@@ -196,10 +198,23 @@ class TestEndpoints:
             with RoundRobinClient([server.url, replica.url], timeout=60) as client:
                 wire = client.render(ServiceRequest(scenario=TINY))
                 for _ in range(8):
-                    status, view = client.solve_prepared(wire)
-                    assert status == 200 and view.served_from_cache
+                    status, document = client.solve_prepared(wire)
+                    assert status == 200 and document["cache"] in ("hit", "store", "coalesced")
         finally:
             replica.stop(drain_timeout=30)
+
+    def test_remote_evaluator_over_the_service(self, server):
+        from repro.optimize import RemoteEvaluator
+
+        evaluator = RemoteEvaluator([server.url, server.url], timeout=180)
+        try:
+            evaluations = [evaluator.evaluate(TINY) for _ in range(3)]
+        finally:
+            evaluator.close()
+        assert all(e.record.status == "ok" for e in evaluations)
+        assert evaluations[-1].served_from_cache
+        assert evaluations[-1].record.spec.scenario_id == TINY.scenario_id
+        assert evaluator.stats()["evaluations"] == 3
 
     def test_loadtest_multi_replica_with_saturation_curve(self, server):
         urls = [server.url, server.url]  # one fleet listed twice
@@ -288,6 +303,73 @@ class TestBodyBounds:
             connection.close()
         finally:
             instance.stop(drain_timeout=10)
+
+
+def _malformed_json(raw: bytes) -> str:
+    try:
+        json.loads(raw.decode("utf-8"))
+    except ValueError as error:
+        return f"malformed JSON body: {error}"
+    raise AssertionError(f"{raw!r} parses")
+
+
+#: case -> (Content-Length header line, or None for the body's length; body;
+#: the threading server's status and document).
+MALFORMED_SOLVES = {
+    "length-missing": ("", b"", 411, {"error": "Content-Length required"}),
+    "length-banana": (
+        "Content-Length: banana\r\n", b"", 400,
+        {"error": "malformed Content-Length 'banana'"},
+    ),
+    "length-negative": (
+        "Content-Length: -5\r\n", b"", 400,
+        {"error": "Content-Length must be non-negative"},
+    ),
+    "length-over-limit": (
+        "Content-Length: 2048\r\n", b"", 413,
+        {"error": "request body of 2048 bytes exceeds the 1024-byte limit"},
+    ),
+    "body-not-json": (None, b"{not json", 400, {"error": _malformed_json(b"{not json")}),
+    "body-not-utf8": (None, b"\xff\xfe{}", 400, {"error": _malformed_json(b"\xff\xfe{}")}),
+    "body-not-a-request": (
+        None, b"[1, 2]", 400,
+        ServiceResponse(state="invalid", message="request body must be a JSON object").to_dict(),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=["threading", "prefork"])
+def front_end(request):
+    config = ServiceConfig(
+        port=0, workers=1, warm_up=False, http_workers=1, max_body_bytes=1024
+    )
+    if request.param == "threading":
+        instance = ServiceServer(config).start()
+    else:
+        instance = PreforkServer(config).start(ready_timeout=180.0)
+    yield instance
+    instance.stop(drain_timeout=30)
+
+
+class TestMalformedSolve:
+    """Both HTTP stacks answer a malformed ``POST /solve`` identically."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SOLVES))
+    def test_answer_matches_the_threading_server(self, front_end, case):
+        length, body, status, document = MALFORMED_SOLVES[case]
+        if length is None:
+            length = f"Content-Length: {len(body)}\r\n"
+        head = (
+            "POST /solve HTTP/1.1\r\nHost: test\r\nX-Request-Id: probe-1\r\n"
+            f"{length}Connection: close\r\n\r\n"
+        ).encode()
+        with socket.create_connection((front_end.host, front_end.port), timeout=30) as sock:
+            sock.sendall(head + body)
+            reply = http.client.HTTPResponse(sock)
+            reply.begin()
+            answer = (reply.status, json.loads(reply.read()), reply.getheader("X-Request-Id"))
+            reply.close()
+        assert answer == (status, document, "probe-1")
 
 
 class TestGracefulShutdown:
