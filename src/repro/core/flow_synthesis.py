@@ -16,11 +16,11 @@ decomposition stage (Sec. IV-E) consumes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..contracts import AGContract, check_composition_consistency
+from ..obs import stage
 from ..solver import SolveStatus, solve_model
 from ..solver.model import ConstraintModel
 from ..traffic.system import ComponentId, TrafficSystem
@@ -186,6 +186,7 @@ class FlowSynthesisResult:
     flow_set: Optional[AgentFlowSet]
     cycle_time: int
     num_periods: int
+    #: Wall times of the ``solver.synthesis.build`` and ``.solve`` stages.
     build_seconds: float
     solve_seconds: float
     num_variables: int
@@ -218,39 +219,40 @@ def synthesize_flows(
     aggregate, which has the same optimum.
     """
     options = options or SynthesisOptions()
-    build_start = time.perf_counter()
+    timings: Dict[str, float] = {}
+    with stage(timings, "build", "solver.synthesis.build"):
+        cycle_time = system.cycle_time(options.cycle_time_factor)
+        num_periods = horizon // cycle_time
+        warmup_periods = options.resolve_warmup(system, num_periods)
+        pool = FlowVariablePool.for_workload(system, workload)
+        system_contract = traffic_system_contract(pool, num_periods)
+        demand_contract = workload_contract(
+            pool, workload, num_periods, warmup_periods=warmup_periods
+        )
+        model = _build_model(pool, workload, num_periods, warmup_periods, options.objective)
+        inconsistency = (
+            check_composition_consistency([system_contract, demand_contract])
+            if options.check_contracts
+            else None
+        )
 
-    cycle_time = system.cycle_time(options.cycle_time_factor)
-    num_periods = horizon // cycle_time
-    warmup_periods = options.resolve_warmup(system, num_periods)
-    pool = FlowVariablePool.for_workload(system, workload)
-    system_contract = traffic_system_contract(pool, num_periods)
-    demand_contract = workload_contract(
-        pool, workload, num_periods, warmup_periods=warmup_periods
-    )
-    model = _build_model(pool, workload, num_periods, warmup_periods, options.objective)
+    if inconsistency is not None:
+        return FlowSynthesisResult(
+            status=SolveStatus.INFEASIBLE,
+            flow_set=None,
+            cycle_time=cycle_time,
+            num_periods=num_periods,
+            build_seconds=timings["build"],
+            solve_seconds=0.0,
+            num_variables=model.num_variables,
+            num_constraints=model.num_constraints,
+            message=inconsistency,
+            traffic_contract=system_contract,
+            workload_contract=demand_contract,
+        )
 
-    if options.check_contracts:
-        message = check_composition_consistency([system_contract, demand_contract])
-        if message is not None:
-            return FlowSynthesisResult(
-                status=SolveStatus.INFEASIBLE,
-                flow_set=None,
-                cycle_time=cycle_time,
-                num_periods=num_periods,
-                build_seconds=time.perf_counter() - build_start,
-                solve_seconds=0.0,
-                num_variables=model.num_variables,
-                num_constraints=model.num_constraints,
-                message=message,
-                traffic_contract=system_contract,
-                workload_contract=demand_contract,
-            )
-    build_seconds = time.perf_counter() - build_start
-
-    solve_start = time.perf_counter()
-    result = solve_model(model, time_limit=options.time_limit)
-    solve_seconds = time.perf_counter() - solve_start
+    with stage(timings, "solve", "solver.synthesis.solve"):
+        result = solve_model(model, time_limit=options.time_limit)
 
     flow_set = None
     if result.status.has_solution:
@@ -262,8 +264,8 @@ def synthesize_flows(
         flow_set=flow_set,
         cycle_time=cycle_time,
         num_periods=num_periods,
-        build_seconds=build_seconds,
-        solve_seconds=solve_seconds,
+        build_seconds=timings["build"],
+        solve_seconds=timings["solve"],
         num_variables=model.num_variables,
         num_constraints=model.num_constraints,
         objective_value=result.objective,

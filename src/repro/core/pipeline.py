@@ -10,21 +10,22 @@
 4. realization into a concrete, collision-free plan (Sec. IV-C);
 5. independent plan validation and workload-service verification.
 
-Each stage's wall-clock time is recorded so the benchmark harness can report
-the same "runtime" column as the paper's Table I (which times the flow
-synthesis) alongside the full end-to-end time.
+Stages 2–5 each run under :func:`repro.obs.stage`, the one timing source:
+it adds the stage's wall time to :attr:`WSPSolution.timings` (``synthesis``
+— the "runtime" column of the paper's Table I — ``decomposition``,
+``realization`` and ``validation``) and, while tracing, that time is the
+duration of the stage's ``solver.<key>`` span.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports core)
     from ..sim.runner import SimulationConfig, SimulationReport
 
-from ..obs import span
+from ..obs import span, stage
 from ..solver import SolveStatus
 from ..traffic.system import TrafficSystem
 from ..traffic.validation import assert_valid
@@ -172,8 +173,6 @@ class WSPSolver:
         ) as solve_span:
             solution = self._solve_staged(instance, solve_span)
             solve_span.set_attr("succeeded", solution.succeeded)
-            for stage, seconds in solution.timings.items():
-                solve_span.add(f"seconds.{stage}", seconds)
             return solution
 
     def _solve_staged(self, instance: WSPInstance, solve_span) -> WSPSolution:
@@ -184,14 +183,12 @@ class WSPSolver:
         synthesis_result: Optional[FlowSynthesisResult] = None
         while factor <= self.options.max_cycle_time_factor:
             synthesis_options = replace(self.options.synthesis, cycle_time_factor=factor)
-            start = time.perf_counter()
-            with span("solver.synthesis", cycle_time_factor=factor):
+            with stage(
+                timings, "synthesis", "solver.synthesis", cycle_time_factor=factor
+            ):
                 synthesis_result = synthesize_flows(
                     self.traffic_system, instance.workload, instance.horizon, synthesis_options
                 )
-            timings["synthesis"] = timings.get("synthesis", 0.0) + (
-                time.perf_counter() - start
-            )
             if not synthesis_result.succeeded:
                 return WSPSolution(
                     instance=instance,
@@ -204,25 +201,19 @@ class WSPSolver:
                     ),
                 )
 
-            start = time.perf_counter()
-            with span("solver.decomposition"):
+            with stage(timings, "decomposition", "solver.decomposition"):
                 cycle_set = decompose_flow_set(synthesis_result.flow_set)
                 schedule = build_delivery_schedule(
                     synthesis_result.flow_set, instance.workload
                 )
-            timings["decomposition"] = timings.get("decomposition", 0.0) + (
-                time.perf_counter() - start
-            )
 
             try:
-                start = time.perf_counter()
-                with span("solver.realization", cycle_time_factor=factor):
+                with stage(
+                    timings, "realization", "solver.realization", cycle_time_factor=factor
+                ):
                     realization = realize_cycle_set(
                         cycle_set, schedule, self.options.realization
                     )
-                timings["realization"] = timings.get("realization", 0.0) + (
-                    time.perf_counter() - start
-                )
             except RealizationError as error:
                 last_message = str(error)
                 factor += 1
@@ -231,14 +222,10 @@ class WSPSolver:
 
             plan_report = None
             if self.options.validate_plan:
-                start = time.perf_counter()
-                with span("solver.validation"):
+                with stage(timings, "validation", "solver.validation"):
                     plan_report = PlanValidator(instance.warehouse).validate(
                         realization.plan
                     )
-                timings["validation"] = timings.get("validation", 0.0) + (
-                    time.perf_counter() - start
-                )
 
             return WSPSolution(
                 instance=instance,

@@ -32,7 +32,6 @@ three feasibility conditions of Sec. III.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -81,7 +80,6 @@ class RealizationResult:
 
     plan: Plan
     cycle_set: AgentCycleSet
-    seconds: float
     deliveries: Dict[ProductId, int]
     pickups: Dict[ProductId, int]
     property41_violations: int
@@ -105,7 +103,6 @@ def realize_cycle_set(
 ) -> RealizationResult:
     """Run the component-timestep algorithm and produce a concrete plan."""
     options = options or RealizationOptions()
-    start_time = time.perf_counter()
     system = cycle_set.system
     warehouse = system.warehouse
     cycle_set.validate()
@@ -140,7 +137,6 @@ def realize_cycle_set(
     return RealizationResult(
         plan=plan,
         cycle_set=cycle_set,
-        seconds=time.perf_counter() - start_time,
         deliveries=deliveries,
         pickups=pickups,
         property41_violations=violations,

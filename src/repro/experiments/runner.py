@@ -137,20 +137,20 @@ def _obs_payload(status: str, timings: Dict[str, float]) -> Dict:
     """Condense one run's observability into a process-crossing document.
 
     A worker-local :class:`~repro.obs.MetricsRegistry` records the run's
-    outcome and per-stage wall times; the worker's process-wide registry —
-    where the sim engine accumulates disruption and contract-breach counters
-    — is *drained* in (shipped exactly once, even when a pool worker is
-    reused).  In-process runs skip the drain: their sim counters already
-    accumulate directly into the parent's registry, and draining it here
-    would cycle the parent's own totals back through the merge.  When
-    tracing is on (``REPRO_OBS=1`` is inherited by spawned workers) the
-    worker's finished spans ride along too.  The parent folds the metrics
-    into its own registry and drops the payload before the record reaches
-    the result store.
+    outcome and per-stage wall times (the record's own ``timings``); the
+    worker's process-wide registry — where the sim engine accumulates
+    disruption and contract-breach counters — is *drained* in (shipped
+    exactly once, even when a pool worker is reused).  In-process runs skip
+    the drain: their sim counters already accumulate directly into the
+    parent's registry, and draining it here would cycle the parent's own
+    totals back through the merge.  Spans are not shipped; they stay in the
+    process that ran the scenario.  The parent folds the metrics into its
+    own registry and drops the payload before the record reaches the
+    result store.
     """
     from multiprocessing import parent_process
 
-    from ..obs import MetricsRegistry, drain_spans, get_registry, tracing_enabled
+    from ..obs import MetricsRegistry, get_registry
 
     registry = MetricsRegistry()
     registry.counter(
@@ -162,10 +162,7 @@ def _obs_payload(status: str, timings: Dict[str, float]) -> Dict:
         ).observe(seconds)
     if parent_process() is not None:
         registry.merge(get_registry().drain())
-    payload: Dict = {"metrics": registry.snapshot()}
-    if tracing_enabled():
-        payload["spans"] = drain_spans()
-    return payload
+    return {"metrics": registry.snapshot()}
 
 
 def execute_scenario(
@@ -178,8 +175,8 @@ def execute_scenario(
     This is the worker entry point: it takes and returns plain dictionaries
     so it crosses process boundaries cheaply, and it never raises — every
     failure mode is folded into the record's ``status``/``message``.  With
-    ``collect_obs`` the document carries an extra ``obs`` key (metrics
-    snapshot + any traced spans) for the parent to merge and strip.
+    ``collect_obs`` the document carries an extra ``obs`` key (a metrics
+    snapshot) for the parent to merge and strip.
     """
     # Imports deferred so spawned workers only pay for them once per process.
     from ..core.flow_synthesis import FlowSynthesisError
@@ -189,7 +186,7 @@ def execute_scenario(
     from ..traffic.component import TrafficError
     from ..warehouse import WarehouseError, WorkloadError
 
-    from ..obs import emit_event, event_context
+    from ..obs import emit_event, event_context, stage
 
     spec = ScenarioSpec.from_dict(document)
     timings: Dict[str, float] = {}
@@ -217,9 +214,8 @@ def execute_scenario(
     try:
         with event_context(scenario_id=spec.scenario_id), _deadline(timeout_seconds):
             emit_event("run.started", "runner", message=spec.label)
-            start = time.perf_counter()
-            designed, workload = spec.build()
-            timings["generate"] = time.perf_counter() - start
+            with stage(timings, "generate", "experiments.generate"):
+                designed, workload = spec.build()
 
             options = SolverOptions(
                 synthesis=SynthesisOptions(
@@ -322,9 +318,8 @@ def run_sweep(
     def finalize(document: Dict) -> RunRecord:
         obs_payload = document.pop("obs", None)
         if obs_payload:
-            # Worker metrics fold into the process-wide registry; any traced
-            # spans stay available to callers through the registry's side
-            # channel users (the store only ever sees the plain record).
+            # Worker metrics fold into the process-wide registry (the store
+            # only ever sees the plain record).
             get_registry().merge(obs_payload.get("metrics", {}))
         record = RunRecord.from_dict(document)
         # The pool words the records of runs its workers could not finish.

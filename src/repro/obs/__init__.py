@@ -6,6 +6,10 @@ Three instruments over one design rule — *observe, never steer*:
   timers, counters and attributes; zero-cost when disabled, deterministic
   JSON serialization.  Threaded through the solver stages, the MAPF search
   internals, the sim engine's event loop and the service request path.
+  :func:`~repro.obs.tracing.stage` is the one source of stage times: the
+  seconds it records are what ``WSPSolution.timings``, run records and
+  ``repro_stage_seconds`` report and, while tracing, the stage span's own
+  duration.
 * :mod:`repro.obs.metrics` — a process-safe registry of counters, gauges and
   fixed-bucket histograms; spawn-based workers serialize snapshots back to
   the parent so fleet-wide metrics aggregate exactly.  Exported as JSON and
@@ -64,6 +68,7 @@ from .tracing import (
     enable_tracing,
     span,
     span_to_dict,
+    stage,
     tracing_enabled,
 )
 
@@ -106,5 +111,6 @@ __all__ = [
     "span",
     "span_phase_totals",
     "span_to_dict",
+    "stage",
     "tracing_enabled",
 ]

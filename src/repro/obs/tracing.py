@@ -31,6 +31,10 @@ Typical use::
             sp.add("ilp_variables", n)
     capture.to_dict()   # {"schema": "obs-trace", "spans": [...]}
 
+A pipeline stage whose time is also *reported* (``WSPSolution.timings``,
+run-record timings) opens :func:`stage` instead of a bare span: one clock
+feeds both the timing entry and, while tracing, the span.
+
 Enabling is either lexical (:func:`capture_trace`), explicit
 (:func:`enable_tracing` / :func:`disable_tracing`), or ambient via the
 ``REPRO_OBS=1`` environment variable — which spawned worker processes
@@ -233,6 +237,27 @@ def span(name: str, **attrs: AttrValue) -> Union[Span, NullSpan]:
     return _TRACER.span(name, **attrs)
 
 
+@contextmanager
+def stage(
+    timings: Dict[str, float], key: str, name: str, **attrs: AttrValue
+) -> Iterator[Union[Span, NullSpan]]:
+    """Time one pipeline stage into ``timings[key]`` under ``span(name)``.
+
+    The pipeline's one timing source.  On exit — also when the block
+    raises — the stage's seconds are added to ``timings[key]``: the span's
+    own :attr:`Span.duration` while tracing, so timings and traces agree
+    exactly; otherwise two clock reads time the block and no span is built.
+    """
+    sp = _TRACER.span(name, **attrs)
+    start = 0.0 if sp.enabled else perf_counter()
+    try:
+        with sp:
+            yield sp
+    finally:
+        seconds = sp.duration if sp.enabled else perf_counter() - start
+        timings[key] = timings.get(key, 0.0) + seconds
+
+
 def current_span() -> Union[Span, NullSpan]:
     """The calling thread's innermost open span (for late attribute binding)."""
     return _TRACER.current()
@@ -245,9 +270,9 @@ def tracing_enabled() -> bool:
 def drain_spans() -> List[Dict]:
     """Remove every completed root span and return them serialized.
 
-    This is the worker → parent trace hand-off: a spawned worker that traced
-    itself (``REPRO_OBS=1``) drains its finished spans into plain dicts that
-    travel over the process boundary inside the run record.
+    Plain dicts cross a process boundary, so this is the hand-off a spawned
+    worker that traced itself (``REPRO_OBS=1``) needs once its spans are
+    stitched under the parent's; until then they stay in the worker.
     """
     return [span_to_dict(root) for root in _TRACER.drain()]
 

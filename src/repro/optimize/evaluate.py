@@ -31,7 +31,6 @@ finite worst-case score.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -53,7 +52,6 @@ class Evaluation:
     #: Cache outcome: ``hit``/``store``/``coalesced`` (served warm), ``miss``
     #: (computed), or ``""`` when the tier is unknown (remote error paths).
     cache: str
-    seconds: float = 0.0
 
     @property
     def served_from_cache(self) -> bool:
@@ -64,20 +62,13 @@ def _error_record(spec: ScenarioSpec, message: str) -> RunRecord:
     return RunRecord(spec=spec, status=STATUS_ERROR, message=message)
 
 
-def _from_response(
-    spec: ScenarioSpec, response: ServiceResponse, started: float
-) -> Evaluation:
+def _from_response(spec: ScenarioSpec, response: ServiceResponse) -> Evaluation:
     """The evaluation of one :class:`SolveService` response."""
     if response.record is not None:
         record = RunRecord.from_dict(response.record)
     else:  # rejected (saturated/draining): a structured failure, not a crash
         record = _error_record(spec, response.message or f"service {response.state}")
-    return Evaluation(
-        spec=spec,
-        record=record,
-        cache=response.cache,
-        seconds=time.perf_counter() - started,
-    )
+    return Evaluation(spec=spec, record=record, cache=response.cache)
 
 
 class CachedEvaluator:
@@ -128,16 +119,13 @@ class CachedEvaluator:
         self.evaluations += len(specs)
         if self.service is None:
             return [self._evaluate_inline(spec) for spec in specs]
-        started = time.perf_counter()
         # The service applies its own timeout_seconds to every request.
         responses = self.service.resolve_batch([ServiceRequest(scenario=spec) for spec in specs])
         return [
-            _from_response(spec, response, started)
-            for spec, response in zip(specs, responses)
+            _from_response(spec, response) for spec, response in zip(specs, responses)
         ]
 
     def _evaluate_inline(self, spec: ScenarioSpec) -> Evaluation:
-        started = time.perf_counter()
         record, tier = self.cache.get(spec.scenario_id)
         if record is None:
             record = RunRecord.from_dict(
@@ -146,9 +134,7 @@ class CachedEvaluator:
             flight, leader = self.cache.lease(spec.scenario_id)
             if leader:
                 self.cache.complete(spec.scenario_id, flight, record)
-        return Evaluation(
-            spec=spec, record=record, cache=tier, seconds=time.perf_counter() - started
-        )
+        return Evaluation(spec=spec, record=record, cache=tier)
 
     # -- accounting / lifecycle -------------------------------------------------
     def stats(self) -> Dict[str, float]:
@@ -207,9 +193,8 @@ class ServiceEvaluator(_TalliedEvaluator):
         self.timeout_seconds = timeout_seconds
 
     def evaluate(self, spec: ScenarioSpec) -> Evaluation:
-        started = time.perf_counter()
         request = ServiceRequest(scenario=spec, timeout_seconds=self.timeout_seconds)
-        return self._tally(_from_response(spec, self.service.resolve(request), started))
+        return self._tally(_from_response(spec, self.service.resolve(request)))
 
     def close(self) -> None:  # the service's lifecycle belongs to its owner
         pass
@@ -223,7 +208,6 @@ class RemoteEvaluator(_TalliedEvaluator):
         self.client = RoundRobinClient(urls, timeout=timeout)
 
     def evaluate(self, spec: ScenarioSpec) -> Evaluation:
-        started = time.perf_counter()
         cache = ""
         try:
             status, document = self.client.solve_prepared(
@@ -240,12 +224,7 @@ class RemoteEvaluator(_TalliedEvaluator):
                 )
         except ServiceClientError as error:
             record = _error_record(spec, f"replica unreachable: {error}")
-        return self._tally(
-            Evaluation(
-                spec=spec, record=record, cache=cache,
-                seconds=time.perf_counter() - started,
-            )
-        )
+        return self._tally(Evaluation(spec=spec, record=record, cache=cache))
 
     def close(self) -> None:
         self.client.close()

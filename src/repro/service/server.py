@@ -187,6 +187,24 @@ class _Campaign:
         return document
 
 
+def _trim_history(order: deque, entries: Dict, limit: int) -> None:
+    """Evict the oldest finished entries until at most ``limit`` remain.
+
+    An entry still in flight is never evicted — an acknowledged id must stay
+    resolvable until done — so a registry of running entries may outgrow
+    ``limit``.
+    """
+    while len(order) > limit:
+        for index, stale_id in enumerate(order):
+            stale = entries.get(stale_id)
+            if stale is None or stale.done.is_set():
+                del order[index]
+                entries.pop(stale_id, None)
+                break
+        else:  # everything retained is still running; allow growth
+            break
+
+
 class SolveService:
     """Transport-independent request resolution (cache -> coalesce -> pool)."""
 
@@ -549,17 +567,9 @@ class SolveService:
         with self._lock:
             self._submissions[submission.request_id] = submission
             self._submission_order.append(submission.request_id)
-            # Trim history, but never evict a submission that is still in
-            # flight: an acknowledged id must stay resolvable until done.
-            while len(self._submission_order) > self._SUBMISSION_HISTORY:
-                for index, stale_id in enumerate(self._submission_order):
-                    stale = self._submissions.get(stale_id)
-                    if stale is None or stale.done.is_set():
-                        del self._submission_order[index]
-                        self._submissions.pop(stale_id, None)
-                        break
-                else:  # everything retained is still running; allow growth
-                    break
+            _trim_history(
+                self._submission_order, self._submissions, self._SUBMISSION_HISTORY
+            )
 
         def run() -> None:
             submission.state = STATE_RUNNING
@@ -751,15 +761,7 @@ class SolveService:
             )
             self._campaigns[campaign.campaign_id] = campaign
             self._campaign_order.append(campaign.campaign_id)
-            while len(self._campaign_order) > self._CAMPAIGN_HISTORY:
-                for index, stale_id in enumerate(self._campaign_order):
-                    stale = self._campaigns.get(stale_id)
-                    if stale is None or stale.done.is_set():
-                        del self._campaign_order[index]
-                        self._campaigns.pop(stale_id, None)
-                        break
-                else:  # every retained campaign still running; allow growth
-                    break
+            _trim_history(self._campaign_order, self._campaigns, self._CAMPAIGN_HISTORY)
 
         evaluator = ServiceEvaluator(self, timeout_seconds=self.config.timeout_seconds)
 

@@ -46,7 +46,6 @@ plan's), so contract monitoring carries over unchanged; set
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -176,7 +175,6 @@ class RoutingReport:
     carry_mismatches: int
     #: Undirected per-edge traversal counts: ``{(u, v): crossings}`` (u < v).
     edge_traversals: Dict[Tuple[VertexId, VertexId], int] = field(default_factory=dict)
-    runtime_seconds: float = 0.0
     #: Why the lifelong run ended: "completed", or the truncation reason
     #: ("stalled" | "episode_limit" | "time_limit").
     status: str = "completed"
@@ -425,7 +423,6 @@ def route_plan(
     """
     if not config.is_grid_routed:
         raise RoutingError("route_plan requires a grid router, not 'abstract'")
-    start_time = time.perf_counter()
     floorplan = plan.warehouse.floorplan
     specs = plan_goal_specs(plan, system if config.pace_to_plan else None)
 
@@ -551,7 +548,6 @@ def route_plan(
         free_flow_cost=free_total,
         carry_mismatches=carry_mismatches,
         edge_traversals=edge_traversal_counts(result.paths),
-        runtime_seconds=time.perf_counter() - start_time,
         status=result.status,
         leg_travel_cost=leg_travel_total,
     )

@@ -10,12 +10,11 @@ point that pulls everything it needs out of a
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..core.flow_synthesis import AgentFlowSet
-from ..obs import span, span_to_dict
+from ..obs import span, span_to_dict, stage
 from ..traffic.system import TrafficSystem
 from ..warehouse.plan import Plan
 from ..warehouse.workload import Workload
@@ -127,7 +126,8 @@ class SimulationReport:
     #: validator-checkable plan (``None`` for nominal runs, whose motion is
     #: the executed plan itself).
     realized_plan: Optional[Plan] = None
-    #: Wall-clock cost of the run (reporting only — never used by the sim).
+    #: Wall-clock cost of the run, timed by the ``sim.simulate`` stage
+    #: (reporting only — never used by the sim).
     seconds: float = 0.0
 
     # -- headline numbers ---------------------------------------------------------
@@ -251,12 +251,14 @@ def simulate_plan(
     service check.
     """
     config = config or SimulationConfig()
-    with span(
-        "sim.simulate", seed=config.seed, sim_config=config.describe()
+    timings: Dict[str, float] = {}
+    with stage(
+        timings, "simulation", "sim.simulate", seed=config.seed, sim_config=config.describe()
     ) as sim_span:
         report = _simulate_traced(
             plan, system, flow_set, workload, synthesis, config, sim_span
         )
+    report.seconds = timings["simulation"]
     if sim_span.enabled:
         # Attach the run's own span tree to the trace; serialization only
         # emits it when present, so untraced runs keep the frozen schema.
@@ -277,8 +279,6 @@ def _simulate_traced(
     config: SimulationConfig,
     sim_span,
 ) -> SimulationReport:
-    start = time.perf_counter()
-
     if flow_set is not None:
         cycle_time = flow_set.cycle_time
         synthesized = flow_set.deliveries_per_period() / max(1, cycle_time)
@@ -464,7 +464,6 @@ def _simulate_traced(
         plan_ticks=plan.horizon,
         routing=routing_report,
         realized_plan=realized_plan,
-        seconds=time.perf_counter() - start,
     )
 
 

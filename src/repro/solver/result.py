@@ -47,9 +47,6 @@ class SolveResult:
         Objective value of the returned assignment (``None`` when no solution).
     values:
         Mapping from :class:`Variable` to its value in the returned assignment.
-    stats:
-        Solver counters keyed by plain strings; ``seconds`` is the wall-clock
-        time of the HiGHS call.
     message:
         Optional human-readable diagnostic from HiGHS.
     """
@@ -57,7 +54,6 @@ class SolveResult:
     status: SolveStatus
     objective: Optional[float] = None
     values: Dict[Variable, float] = field(default_factory=dict)
-    stats: Dict[str, float] = field(default_factory=dict)
     message: str = ""
 
     @property

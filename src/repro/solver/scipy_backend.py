@@ -10,7 +10,6 @@ variables on the Fulfillment-2 map) stay well within laptop memory.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -125,7 +124,6 @@ def solve_model(
         sign,
         offset,
     ) = _build_sparse(model)
-    start = time.perf_counter()
     res = milp(
         c=c,
         constraints=(
@@ -135,7 +133,6 @@ def solve_model(
         integrality=integrality,
         options=None if time_limit is None else {"time_limit": float(time_limit)},
     )
-    stats = {"seconds": time.perf_counter() - start}
     message = str(res.message)
     if res.x is not None and res.status in (0, 1):
         x = np.asarray(res.x)
@@ -147,9 +144,6 @@ def solve_model(
             status=SolveStatus.OPTIMAL if res.status == 0 else SolveStatus.FEASIBLE,
             objective=sign * (float(c @ x) + offset),
             values={var: float(v) for var, v in zip(variables, x)},
-            stats=stats,
             message=message,
         )
-    return SolveResult(
-        status=_STATUS.get(res.status, SolveStatus.ERROR), stats=stats, message=message
-    )
+    return SolveResult(status=_STATUS.get(res.status, SolveStatus.ERROR), message=message)

@@ -24,7 +24,6 @@ reachable from ``src/``.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
@@ -53,7 +52,6 @@ from repro.warehouse.products import EMPTY_HANDED
 def realize_cycle_set(cycle_set, schedule, options=None) -> RealizationResult:
     """Algorithm 1, every agent in every timestep."""
     options = options or RealizationOptions()
-    start_time = time.perf_counter()
     system = cycle_set.system
     warehouse = system.warehouse
     cycle_set.validate()
@@ -197,7 +195,6 @@ def realize_cycle_set(cycle_set, schedule, options=None) -> RealizationResult:
     return RealizationResult(
         plan=plan,
         cycle_set=cycle_set,
-        seconds=time.perf_counter() - start_time,
         deliveries=deliveries,
         pickups=pickups,
         property41_violations=violations,

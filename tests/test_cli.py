@@ -241,6 +241,15 @@ class TestProfile:
         output = capsys.readouterr().out
         assert "cProfile" not in output
 
+    def test_profile_sweep_prints_the_runs_spans(self, capsys):
+        """An in-process sweep's spans reach the printed tree, not the record."""
+        assert main(
+            ["profile", "sweep", "--preset", "smoke", "--limit", "1", "--no-cprofile"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "solver.synthesis" in output
+        assert "(empty trace)" not in output
+
     def test_profile_validations(self):
         with pytest.raises(SystemExit):
             main(["profile", "solve", "--top", "0"])

@@ -1,6 +1,6 @@
 """Span nesting, zero-cost disabled paths, and deterministic serialization.
 
-The tracer's contract has three legs the rest of the PR leans on:
+The tracer's contract has four legs the rest of the pipeline leans on:
 
 * spans nest per thread into well-formed trees whose serialized intervals
   are consistent (children inside parents, starts monotone) — checked as a
@@ -8,13 +8,17 @@ The tracer's contract has three legs the rest of the PR leans on:
 * the disabled path allocates nothing and touches no clock
   (:data:`NULL_SPAN` identity), so instrumentation may stay in hot loops;
 * :func:`span_to_dict` is a pure function of the span tree — two
-  serializations of the same capture are byte-identical.
+  serializations of the same capture are byte-identical;
+* :func:`stage` times a block once: its seconds accumulate into the
+  timings entry (also when the block raises) and, while tracing, equal the
+  span's duration.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from repro.obs import (
     enable_tracing,
     span,
     span_to_dict,
+    stage,
     tracing_enabled,
 )
 
@@ -196,3 +201,57 @@ def test_current_span_tracks_the_open_stack():
                 assert current_span() is inner
             assert current_span() is outer
         assert current_span() is NULL_SPAN
+
+
+# ---------------------------------------------------------------------------
+# stage: one clock for the timing entry and the span
+# ---------------------------------------------------------------------------
+
+def test_stage_accumulates_repeated_use_into_one_key():
+    timings = {"other": 1.0}
+    for _ in range(3):
+        with stage(timings, "work", "pipeline.work"):
+            time.sleep(0.002)
+    assert list(timings) == ["other", "work"]
+    assert timings["other"] == 1.0
+    assert timings["work"] >= 0.006
+
+
+def test_stage_records_time_of_a_raising_block_and_reraises():
+    timings = {}
+    with capture_trace() as capture:
+        with pytest.raises(ValueError, match="boom"):
+            with stage(timings, "work", "pipeline.work"):
+                raise ValueError("boom")
+    assert timings["work"] == capture.root.duration
+    assert capture.root.attrs["error"] == "ValueError"
+    untraced = {}
+    with pytest.raises(ValueError):
+        with stage(untraced, "work", "pipeline.work"):
+            time.sleep(0.002)
+            raise ValueError("boom")
+    assert untraced["work"] >= 0.002
+
+
+def test_stage_without_tracing_yields_the_null_span():
+    assert not tracing_enabled()
+    timings = {}
+    with stage(timings, "work", "pipeline.work", attr=1) as sp:
+        assert sp is NULL_SPAN
+    assert timings["work"] >= 0.0
+    assert drain_spans() == [], "a disabled stage must not collect a root span"
+
+
+def test_stage_seconds_equal_the_span_duration_while_tracing():
+    timings = {}
+    with capture_trace() as capture:
+        with stage(timings, "outer", "pipeline.outer", units=3) as outer:
+            for _ in range(2):
+                with stage(timings, "inner", "pipeline.inner"):
+                    pass
+    assert outer is capture.root
+    assert capture.root.attrs == {"units": 3}
+    assert timings["outer"] == capture.root.duration
+    inner = capture.root.children
+    assert [child.name for child in inner] == ["pipeline.inner"] * 2
+    assert timings["inner"] == inner[0].duration + inner[1].duration

@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +44,9 @@ TINY = ScenarioSpec(
     units=4,
     horizon=150,
 )
+
+
+OTHER = replace(TINY, units=5)
 
 
 def record_for(spec: ScenarioSpec, status: str = STATUS_OK, **kwargs) -> RunRecord:
@@ -318,6 +322,25 @@ class TestSolveService:
         final = service.wait(pending.request_id, timeout=10)
         assert final.state == STATUS_OK and final.request_id == pending.request_id
         assert service.status(pending.request_id).state == STATUS_OK
+
+    def test_submission_history_evicts_finished_entries_only(self, service):
+        service._SUBMISSION_HISTORY = 1
+        in_flight = service.submit(ServiceRequest(scenario=OTHER))
+        deadline = time.monotonic() + 5.0
+        while not service.pool.futures and time.monotonic() < deadline:
+            time.sleep(0.005)
+        flight, _ = service.cache.lease(TINY.scenario_id)
+        service.cache.complete(TINY.scenario_id, flight, record_for(TINY))
+        finished = service.submit(ServiceRequest(scenario=TINY))
+        assert service.wait(finished.request_id, timeout=10).cache == "hit"
+        service.submit(ServiceRequest(scenario=TINY))
+        # Past the limit the oldest *finished* entry goes; the older one
+        # still computing stays resolvable.
+        assert service.status(finished.request_id) is None
+        assert service.status(in_flight.request_id).state in ("pending", "running")
+        complete_next(service, OTHER)
+        final = service.wait(in_flight.request_id, timeout=10)
+        assert final.state == STATUS_OK and final.request_id == in_flight.request_id
 
     def test_worker_failure_becomes_error_record(self, service):
         worker = threading.Thread(
