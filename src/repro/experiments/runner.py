@@ -143,14 +143,16 @@ def _obs_payload(status: str, timings: Dict[str, float]) -> Dict:
     exactly once, even when a pool worker is reused).  In-process runs skip
     the drain: their sim counters already accumulate directly into the
     parent's registry, and draining it here would cycle the parent's own
-    totals back through the merge.  Spans are not shipped; they stay in the
-    process that ran the scenario.  The parent folds the metrics into its
-    own registry and drops the payload before the record reaches the
-    result store.
+    totals back through the merge.  Spans are not shipped: in-process they
+    stay in the parent's tracer, and a spawned worker (which traces under
+    ``REPRO_OBS=1``) discards its finished spans after each run until worker
+    traces are stitched under the parent's.  The parent folds the metrics
+    into its own registry and drops the payload before the record reaches
+    the result store.
     """
     from multiprocessing import parent_process
 
-    from ..obs import MetricsRegistry, get_registry
+    from ..obs import MetricsRegistry, drain_spans, get_registry
 
     registry = MetricsRegistry()
     registry.counter(
@@ -162,6 +164,7 @@ def _obs_payload(status: str, timings: Dict[str, float]) -> Dict:
         ).observe(seconds)
     if parent_process() is not None:
         registry.merge(get_registry().drain())
+        drain_spans()
     return {"metrics": registry.snapshot()}
 
 

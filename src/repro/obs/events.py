@@ -262,28 +262,19 @@ class EventLog:
                 f"unknown level {level!r}; expected one of {EVENT_LEVELS}"
             )
         context = current_context()
-        # Chatty sources (a disrupted sim emits hundreds per run) mostly emit
-        # with no context bound: skip the per-key lookups for them.
-        if context or not fields.keys().isdisjoint(CONTEXT_KEYS):
-            run_id, request_id, scenario_id = (
-                str(fields.pop(key, "") or context.get(key, "")) for key in CONTEXT_KEYS
-            )
-        else:
-            run_id = request_id = scenario_id = ""
+        ids = {key: str(fields.pop(key, "") or context.get(key, "")) for key in CONTEXT_KEYS}
         with self._lock:
             self._seq += 1
             event = Event(
-                self._seq,
-                self._wall(),
-                self._clock(),
-                level,
-                component,
-                kind,
-                message,
-                run_id,
-                request_id,
-                scenario_id,
-                fields,
+                seq=self._seq,
+                ts=self._wall(),
+                mono=self._clock(),
+                level=level,
+                component=component,
+                kind=kind,
+                message=message,
+                fields=fields,
+                **ids,
             )
             self._ring.append(event)
             subscribers = list(self._subscribers) if self._subscribers else None

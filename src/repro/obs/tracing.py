@@ -272,7 +272,8 @@ def drain_spans() -> List[Dict]:
 
     Plain dicts cross a process boundary, so this is the hand-off a spawned
     worker that traced itself (``REPRO_OBS=1``) needs once its spans are
-    stitched under the parent's; until then they stay in the worker.
+    stitched under the parent's; until then the worker drops them after
+    each run.
     """
     return [span_to_dict(root) for root in _TRACER.drain()]
 

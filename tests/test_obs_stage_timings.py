@@ -105,3 +105,21 @@ def test_untraced_runs_keep_their_timing_keys():
     assert infeasible["status"] == "infeasible"
     assert list(infeasible["timings"]) == ["generate"]
     assert drain_spans() == []
+
+
+def test_a_spawned_worker_drops_its_spans_after_each_run(monkeypatch):
+    # Nothing reads a worker's spans until they are stitched under the
+    # parent's, so a long-lived worker must not keep them run after run.
+    import multiprocessing
+
+    import repro.obs
+    from repro.obs import MetricsRegistry
+
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    # The payload drains the worker's registry; a fresh one stands in for it.
+    monkeypatch.setattr(repro.obs, "get_registry", MetricsRegistry)
+    with capture_trace() as capture:
+        document = execute_scenario(SPEC.to_dict(), collect_obs=True)
+    assert document["status"] == "ok"
+    assert list(document["obs"]) == ["metrics"]
+    assert capture.spans == []
