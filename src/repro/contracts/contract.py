@@ -35,7 +35,7 @@ so any flow synthesized here is also correct for the exact semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..solver.expressions import LinearConstraint, Variable, variables_of
 from ..solver.model import ConstraintModel
@@ -43,19 +43,6 @@ from ..solver.model import ConstraintModel
 
 class ContractError(ValueError):
     """Raised for malformed contracts or invalid contract operations."""
-
-
-def _as_constraint_tuple(
-    constraints: Optional[Iterable[LinearConstraint]],
-) -> Tuple[LinearConstraint, ...]:
-    items = tuple(constraints or ())
-    for item in items:
-        if not isinstance(item, LinearConstraint):
-            raise ContractError(
-                f"contracts take LinearConstraint items, got {type(item).__name__}; "
-                "did a '==' comparison fall back to a plain bool?"
-            )
-    return items
 
 
 @dataclass(frozen=True)
@@ -81,15 +68,23 @@ class AGContract:
     variables: Tuple[Variable, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assumptions", _as_constraint_tuple(self.assumptions))
-        object.__setattr__(self, "guarantees", _as_constraint_tuple(self.guarantees))
-        mentioned = set(variables_of(self.assumptions)) | set(variables_of(self.guarantees))
-        declared = set(self.variables)
-        if not declared:
-            ordered = tuple(variables_of(tuple(self.assumptions) + tuple(self.guarantees)))
-            object.__setattr__(self, "variables", ordered)
+        assumptions = tuple(self.assumptions or ())
+        guarantees = tuple(self.guarantees or ())
+        items = assumptions + guarantees
+        for item in items:
+            if not isinstance(item, LinearConstraint):
+                raise ContractError(
+                    f"contracts take LinearConstraint items, got {type(item).__name__}; "
+                    "did a '==' comparison fall back to a plain bool?"
+                )
+        # One pass collects the variables, in first-mention order.
+        mentioned = variables_of(items)
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "guarantees", guarantees)
+        if not self.variables:
+            object.__setattr__(self, "variables", mentioned)
         else:
-            missing = mentioned - declared
+            missing = set(mentioned) - set(self.variables)
             if missing:
                 names = ", ".join(sorted(v.name for v in missing))
                 raise ContractError(
@@ -212,14 +207,12 @@ def compose_all(
     This is how the paper builds the traffic-system contract out of the
     per-component contracts.
     """
-    if not contracts:
-        return AGContract(name=name)
-    assumptions: Tuple[LinearConstraint, ...] = ()
-    guarantees: Tuple[LinearConstraint, ...] = ()
+    assumptions: List[LinearConstraint] = []
+    guarantees: List[LinearConstraint] = []
     for contract in contracts:
-        assumptions += contract.assumptions
-        guarantees += contract.guarantees
-    return AGContract(name=name, assumptions=assumptions, guarantees=guarantees)
+        assumptions.extend(contract.assumptions)
+        guarantees.extend(contract.guarantees)
+    return AGContract(name=name, assumptions=tuple(assumptions), guarantees=tuple(guarantees))
 
 
 def top_contract(name: str = "true") -> AGContract:

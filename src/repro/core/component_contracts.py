@@ -25,6 +25,10 @@ the integer ``empty[i, j]`` itself.  These per-product contracts are what the
 runtime monitor checks against a simulated trace and what
 ``SynthesisOptions.check_contracts`` pre-checks; the synthesis MILP is their
 exact aggregate (:mod:`repro.core.flow_synthesis`).
+
+Each constraint is compiled from one coefficient dict
+(:func:`~repro.solver.expressions.linear_row`); ``tests/reference_contracts.py``
+keeps the operator-chained compile they must equal.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from __future__ import annotations
 from typing import List
 
 from ..contracts import AGContract, compose_all
-from ..solver.expressions import LinearConstraint
+from ..solver.expressions import EQ, LE, LinearConstraint, add_terms, linear_row
 from ..traffic.component import Component
-from ..traffic.system import TrafficSystem
 from ..warehouse.products import EMPTY_HANDED
 from .flow_variables import FlowVariablePool
 
@@ -45,83 +48,58 @@ def component_contract(
     num_periods: int,
 ) -> AGContract:
     """The contract ``˜Ci`` of one component for a given number of cycle periods."""
-    system = pool.system
-    index = component.index
-    assumptions: List[LinearConstraint] = []
-    guarantees: List[LinearConstraint] = []
+    index, name = component.index, component.name
+    pickups = pool.row_pickups.get(index, {})
+    dropoffs = pool.queue_dropoffs.get(index, {})
+    empty_in = pool.inlet_flows(index, EMPTY_HANDED)
 
     # -- assumption: per-period inflow capacity ⌊|Ci|/2⌋ -----------------------
-    assumptions.append(
-        (pool.total_inflow(index) <= component.capacity).named(f"capacity[{component.name}]")
+    assumptions = (
+        linear_row(pool.total_inflow_coeffs(index), LE, component.capacity, f"capacity[{name}]"),
     )
+    guarantees: List[LinearConstraint] = []
 
     # -- guarantees: drop-off bounds -------------------------------------------
-    for product in pool.products:
-        dropoff = pool.dropoff(index, product)
-        if dropoff is None:
-            continue
-        guarantees.append(
-            (1 * dropoff <= pool.inflow(index, product)).named(
-                f"dropoff-bound[{component.name},{product}]"
-            )
-        )
+    for product, dropoff in dropoffs.items():
+        coeffs = add_terms({dropoff: 1.0}, pool.inlet_flows(index, product), -1.0)
+        guarantees.append(linear_row(coeffs, LE, 0.0, f"dropoff-bound[{name},{product}]"))
 
     # -- guarantees: pickup bounds ------------------------------------------------
-    for product in pool.products:
-        pickup = pool.pickup(index, product)
-        if pickup is None:
-            continue
-        units = system.units_at(index, product)
-        per_period_limit = units / max(1, num_periods)
-        guarantees.append(
-            (1 * pickup <= per_period_limit).named(
-                f"pickup-stock[{component.name},{product}]"
-            )
-        )
+    stock = pool.units[index]
+    periods = max(1, num_periods)
+    for product, pickup in pickups.items():
+        limit = stock[product] / periods
+        guarantees.append(linear_row({pickup: 1.0}, LE, limit, f"pickup-stock[{name},{product}]"))
     if component.is_shelving_row:
-        guarantees.append(
-            (pool.total_pickups_expr(index) <= pool.inflow(index, EMPTY_HANDED)).named(
-                f"pickup-empty-agents[{component.name}]"
-            )
-        )
+        coeffs = add_terms(dict.fromkeys(pickups.values(), 1.0), empty_in, -1.0)
+        guarantees.append(linear_row(coeffs, LE, 0.0, f"pickup-empty-agents[{name}]"))
 
     # -- guarantees: flow conservation ----------------------------------------------
     for product in pool.products:
-        balance = pool.inflow(index, product) - pool.outflow(index, product)
-        pickup = pool.pickup(index, product)
-        dropoff = pool.dropoff(index, product)
-        if pickup is not None:
-            balance = balance + pickup
-        if dropoff is not None:
-            balance = balance - dropoff
-        guarantees.append(
-            (balance == 0).named(f"conservation[{component.name},{product}]")
-        )
+        coeffs = add_terms({}, pool.inlet_flows(index, product), 1.0)
+        add_terms(coeffs, pool.outlet_flows(index, product), -1.0)
+        if product in pickups:
+            add_terms(coeffs, (pickups[product],), 1.0)
+        if product in dropoffs:
+            add_terms(coeffs, (dropoffs[product],), -1.0)
+        guarantees.append(linear_row(coeffs, EQ, 0.0, f"conservation[{name},{product}]"))
 
-    empty_balance = (
-        pool.inflow(index, EMPTY_HANDED)
-        - pool.outflow(index, EMPTY_HANDED)
-        - pool.total_pickups_expr(index)
-        + pool.total_dropoffs_expr(index)
-    )
-    guarantees.append(
-        (empty_balance == 0).named(f"conservation[{component.name},empty]")
-    )
+    coeffs = add_terms({}, empty_in, 1.0)
+    add_terms(coeffs, pool.outlet_flows(index, EMPTY_HANDED), -1.0)
+    add_terms(coeffs, pickups.values(), -1.0)
+    add_terms(coeffs, dropoffs.values(), 1.0)
+    guarantees.append(linear_row(coeffs, EQ, 0.0, f"conservation[{name},empty]"))
 
     return AGContract(
-        name=f"component[{component.name}]",
-        assumptions=tuple(assumptions),
+        name=f"component[{name}]",
+        assumptions=assumptions,
         guarantees=tuple(guarantees),
     )
 
 
 def traffic_system_contract(pool: FlowVariablePool, num_periods: int) -> AGContract:
     """The traffic-system contract ``˜C_TS = ⨂ ˜Ci`` (composition of all components)."""
-    contracts = [
-        component_contract(pool, component, num_periods)
-        for component in pool.system.components
-    ]
-    return compose_all(contracts, name="traffic-system")
+    return compose_all(component_contracts(pool, num_periods), name="traffic-system")
 
 
 def component_contracts(pool: FlowVariablePool, num_periods: int) -> List[AGContract]:

@@ -266,7 +266,7 @@ def build_delivery_schedule(
     product is served from the first periods, and the remaining pickup slots of
     the horizon are padded with the same product mix so cycles keep delivering.
     """
-    system = flow_set.system
+    stock = flow_set.system.units_table()
     demanded = {k: workload.demand(k) for k in workload.requested_products()}
 
     # Step 1 — integer allocation of each product's demand to rows.
@@ -290,7 +290,7 @@ def build_delivery_schedule(
         shares: List[Tuple[ComponentId, int]] = []
         for row, rate in sorted(rates.items()):
             share = int(demand * rate / total_rate)
-            share = min(share, system.units_at(row, product))
+            share = min(share, stock[row][product])
             shares.append((row, share))
             assigned += share
         # Distribute the rounding remainder greedily where stock and capacity allow.
@@ -301,7 +301,7 @@ def build_delivery_schedule(
         while remainder > 0 and candidates:
             row = candidates[index % len(candidates)]
             if (
-                shares_dict[row] < system.units_at(row, product)
+                shares_dict[row] < stock[row][product]
                 and row_used[row] + shares_dict[row] < row_capacity[row]
             ):
                 shares_dict[row] += 1
@@ -330,7 +330,7 @@ def build_delivery_schedule(
         # late pickups (whose deliveries would fall outside the horizon) never
         # eat into the required units.
         stock_left = {
-            product: system.units_at(row, product) - units
+            product: stock[row][product] - units
             for product, units in row_products
         }
         pad_source = [product for product, _ in row_products]

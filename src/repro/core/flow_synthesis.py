@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from ..contracts import AGContract, check_composition_consistency
 from ..obs import stage
 from ..solver import SolveStatus, solve_model
+from ..solver.expressions import EQ, GE, LE, add_terms, linear_row
 from ..solver.model import ConstraintModel
 from ..traffic.system import ComponentId, TrafficSystem
 from ..warehouse.products import EMPTY_HANDED, ProductId
@@ -310,42 +311,47 @@ def _build_model(
     system = pool.system
     for component in system.components:
         model.add_constraint(
-            (pool.total_inflow(component.index) <= component.capacity).named(
-                f"capacity[{component.name}]"
+            linear_row(
+                pool.total_inflow_coeffs(component.index),
+                LE,
+                component.capacity,
+                f"capacity[{component.name}]",
             )
         )
+    periods = max(1, num_periods)
     for component in system.components:
         index, name = component.index, component.name
-        loaded = pool.net_inflow(pool.loaded_vars, index)
-        empty = pool.net_inflow(pool.empty_vars, index)
+        loaded = pool.net_inflow_coeffs(pool.loaded_vars, index)
+        empty = pool.net_inflow_coeffs(pool.empty_vars, index)
         picked = pool.total_pickup(index)
         if picked is not None:
-            for product in pool.products:
-                rate = pool.pickup(index, product)
-                if rate is not None:
-                    stock = system.units_at(index, product) / max(1, num_periods)
-                    model.add_constraint(
-                        (1 * rate <= stock).named(f"pickup-stock[{name},{product}]")
-                    )
-            model.add_constraint(
-                (1 * picked <= pool.inflow(index, EMPTY_HANDED)).named(
-                    f"pickup-empty-agents[{name}]"
+            rates = pool.row_pickups[index]
+            stock = pool.units[index]
+            for product, rate in rates.items():
+                limit = stock[product] / periods
+                model.add_constraint(
+                    linear_row({rate: 1.0}, LE, limit, f"pickup-stock[{name},{product}]")
                 )
-            )
-            model.add_constraint(
-                (pool.total_pickups_expr(index) - picked == 0).named(f"pickup-mix[{name}]")
-            )
-            loaded, empty = loaded + picked, empty - picked
+            coeffs = add_terms({picked: 1.0}, pool.inlet_flows(index, EMPTY_HANDED), -1.0)
+            model.add_constraint(linear_row(coeffs, LE, 0.0, f"pickup-empty-agents[{name}]"))
+            coeffs = add_terms(dict.fromkeys(rates.values(), 1.0), (picked,), -1.0)
+            model.add_constraint(linear_row(coeffs, EQ, 0.0, f"pickup-mix[{name}]"))
+            add_terms(loaded, (picked,), 1.0)
+            add_terms(empty, (picked,), -1.0)
         dropped = pool.total_dropoff(index)
         if dropped is not None:
-            loaded, empty = loaded - dropped, empty + dropped
-        model.add_constraint((loaded == 0).named(f"conservation[{name},loaded]"))
-        model.add_constraint((empty == 0).named(f"conservation[{name},empty]"))
+            add_terms(loaded, (dropped,), -1.0)
+            add_terms(empty, (dropped,), 1.0)
+        model.add_constraint(linear_row(loaded, EQ, 0.0, f"conservation[{name},loaded]"))
+        model.add_constraint(linear_row(empty, EQ, 0.0, f"conservation[{name},empty]"))
     effective = num_periods - warmup_periods
     for product in workload.requested_products():
         model.add_constraint(
-            (pool.total_row_pickups(product) >= workload.demand(product) / effective).named(
-                f"workload[{product}]"
+            linear_row(
+                add_terms({}, pool.product_pickups.get(product, ()), 1.0),
+                GE,
+                workload.demand(product) / effective,
+                f"workload[{product}]",
             )
         )
     if objective == "min_agents":

@@ -29,14 +29,20 @@ Variables are created only where they can be non-zero (per-product variables
 only for demanded products, pickups only at shelving rows stocking the
 product, drop-offs only at station queues), which keeps the 120-product
 contracts compact without changing their meaning.
+
+The compile reads the pool through variable lists (a component's inlet and
+outlet flows, a row's pickups, a product's drop-offs) and fills one
+coefficient dict per contract or model row
+(:func:`~repro.solver.expressions.add_terms`); the pool
+reads UNITSAT once, from :meth:`~repro.traffic.system.TrafficSystem.units_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..solver.expressions import LinearExpr, Variable
+from ..solver.expressions import LinearExpr, Variable, add_terms
 from ..traffic.system import ComponentId, TrafficSystem
 from ..warehouse.products import EMPTY_HANDED, ProductId
 from ..warehouse.workload import Workload
@@ -52,6 +58,8 @@ class FlowVariablePool:
 
     system: TrafficSystem
     products: Tuple[ProductId, ...]
+    #: UNITSAT read once for this problem: ``units[i][k]`` (see ``TrafficSystem.units_table``).
+    units: List[List[int]] = field(repr=False)
     #: Per-product, per-edge loaded flow rates ``f[i, j, k]``, ``k ≥ 1`` (continuous).
     edge_vars: Dict[ProductEdgeKey, Variable] = field(default_factory=dict)
     #: Per-product pickup / drop-off rates (continuous).
@@ -62,12 +70,22 @@ class FlowVariablePool:
     empty_vars: Dict[EdgeKey, Variable] = field(default_factory=dict)
     total_pickup_vars: Dict[ComponentId, Variable] = field(default_factory=dict)
     total_dropoff_vars: Dict[ComponentId, Variable] = field(default_factory=dict)
+    #: The pickup / drop-off rates indexed by row or queue (in product order)
+    #: and by product (in component order).
+    row_pickups: Dict[ComponentId, Dict[ProductId, Variable]] = field(
+        default_factory=dict, repr=False
+    )
+    queue_dropoffs: Dict[ComponentId, Dict[ProductId, Variable]] = field(
+        default_factory=dict, repr=False
+    )
+    product_pickups: Dict[ProductId, List[Variable]] = field(default_factory=dict, repr=False)
+    product_dropoffs: Dict[ProductId, List[Variable]] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def for_workload(system: TrafficSystem, workload: Workload) -> "FlowVariablePool":
         """Create the pool for a workload's demanded products."""
         products = workload.requested_products()
-        pool = FlowVariablePool(system=system, products=products)
+        pool = FlowVariablePool(system=system, products=products, units=system.units_table())
         pool._populate()
         return pool
 
@@ -89,9 +107,10 @@ class FlowVariablePool:
                 name=f"empty[{source},{target}]", lb=0, ub=capacity, integer=True
             )
         for component in self.system.shelving_rows():
+            stock = self.units[component.index]
             any_stock = False
             for product in self.products:
-                if self.system.units_at(component.index, product) > 0:
+                if stock[product] > 0:
                     any_stock = True
                     self.pickup_vars[(component.index, product)] = Variable(
                         name=f"fin[{component.index},{product}]",
@@ -120,6 +139,12 @@ class FlowVariablePool:
                 ub=component.capacity,
                 integer=True,
             )
+        for (index, product), var in self.pickup_vars.items():
+            self.row_pickups.setdefault(index, {})[product] = var
+            self.product_pickups.setdefault(product, []).append(var)
+        for (index, product), var in self.dropoff_vars.items():
+            self.queue_dropoffs.setdefault(index, {})[product] = var
+            self.product_dropoffs.setdefault(product, []).append(var)
 
     # -- variable access --------------------------------------------------------
     def edge(self, source: ComponentId, target: ComponentId, product: ProductId) -> Optional[Variable]:
@@ -146,62 +171,40 @@ class FlowVariablePool:
     def total_dropoff(self, component: ComponentId) -> Optional[Variable]:
         return self.total_dropoff_vars.get(component)
 
-    # -- expression builders ------------------------------------------------------
-    def inflow(self, component: ComponentId, product: ProductId) -> LinearExpr:
-        """Σ over inlets of f[j, i, product]."""
-        terms = []
+    # -- variable lists and coefficient dicts ---------------------------------------
+    def inlet_flows(self, component: ComponentId, product: ProductId) -> List[Variable]:
+        """``f[j, i, product]`` over the inlets ``j`` of ``i`` (``empty[j, i]`` for ρ0)."""
+        inlets = self.system.inlets_of(component)
+        if product == EMPTY_HANDED:
+            return [self.empty_vars[(inlet, component)] for inlet in inlets]
+        return [self.edge_vars[(inlet, component, product)] for inlet in inlets]
+
+    def outlet_flows(self, component: ComponentId, product: ProductId) -> List[Variable]:
+        """``f[i, j, product]`` over the outlets ``j`` of ``i`` (``empty[i, j]`` for ρ0)."""
+        outlets = self.system.outlets_of(component)
+        if product == EMPTY_HANDED:
+            return [self.empty_vars[(component, outlet)] for outlet in outlets]
+        return [self.edge_vars[(component, outlet, product)] for outlet in outlets]
+
+    def total_inflow_coeffs(self, component: ComponentId) -> Dict[Variable, float]:
+        """Coefficients of Σ over inlets of the aggregate (loaded + empty) agent flow."""
+        coeffs: Dict[Variable, float] = {}
         for inlet in self.system.inlets_of(component):
-            var = self.edge(inlet, component, product)
-            if var is not None:
-                terms.append(var)
-        return LinearExpr.sum(terms)
+            arc = (inlet, component)
+            add_terms(coeffs, (self.loaded_vars[arc], self.empty_vars[arc]), 1.0)
+        return coeffs
 
-    def outflow(self, component: ComponentId, product: ProductId) -> LinearExpr:
-        """Σ over outlets of f[i, j, product]."""
-        terms = []
-        for outlet in self.system.outlets_of(component):
-            var = self.edge(component, outlet, product)
-            if var is not None:
-                terms.append(var)
-        return LinearExpr.sum(terms)
+    def net_inflow_coeffs(
+        self, arcs: Dict[EdgeKey, Variable], component: ComponentId
+    ) -> Dict[Variable, float]:
+        """Coefficients of Σ over inlets − Σ over outlets of one aggregate family
+        (``loaded_vars`` / ``empty_vars``)."""
+        inlets = self.system.inlets_of(component)
+        outlets = self.system.outlets_of(component)
+        coeffs = add_terms({}, (arcs[(inlet, component)] for inlet in inlets), 1.0)
+        return add_terms(coeffs, (arcs[(component, outlet)] for outlet in outlets), -1.0)
 
-    def total_inflow(self, component: ComponentId) -> LinearExpr:
-        """Σ over inlets of the aggregate (loaded + empty) agent flow."""
-        terms = []
-        for inlet in self.system.inlets_of(component):
-            loaded = self.loaded(inlet, component)
-            empty = self.empty(inlet, component)
-            if loaded is not None:
-                terms.append(loaded)
-            if empty is not None:
-                terms.append(empty)
-        return LinearExpr.sum(terms)
-
-    def net_inflow(self, arcs: Dict[EdgeKey, Variable], component: ComponentId) -> LinearExpr:
-        """Σ over inlets − Σ over outlets of one aggregate family (``loaded_vars`` / ``empty_vars``)."""
-        return LinearExpr.sum(
-            [arcs[(inlet, component)] for inlet in self.system.inlets_of(component)]
-            + [-1 * arcs[(component, outlet)] for outlet in self.system.outlets_of(component)]
-        )
-
-    def total_pickups_expr(self, component: ComponentId) -> LinearExpr:
-        terms = [var for (comp, _), var in self.pickup_vars.items() if comp == component]
-        return LinearExpr.sum(terms)
-
-    def total_dropoffs_expr(self, component: ComponentId) -> LinearExpr:
-        terms = [var for (comp, _), var in self.dropoff_vars.items() if comp == component]
-        return LinearExpr.sum(terms)
-
-    def total_row_pickups(self, product: ProductId) -> LinearExpr:
-        """Σ over all shelving rows of f_in[i, product]."""
-        terms = [var for (_, prod), var in self.pickup_vars.items() if prod == product]
-        return LinearExpr.sum(terms)
-
-    def total_station_dropoffs(self, product: ProductId) -> LinearExpr:
-        """Σ over all station queues of f_out[i, product]."""
-        terms = [var for (_, prod), var in self.dropoff_vars.items() if prod == product]
-        return LinearExpr.sum(terms)
-
+    # -- objectives -----------------------------------------------------------------
     def total_agents(self) -> LinearExpr:
         """Σ of every aggregate edge flow — equals the number of agents in the plan."""
         return LinearExpr.sum(

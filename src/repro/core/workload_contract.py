@@ -17,6 +17,7 @@ paper's formula verbatim.
 from __future__ import annotations
 
 from ..contracts import AGContract
+from ..solver.expressions import GE, add_terms, linear_row
 from ..warehouse.workload import Workload
 from .flow_variables import FlowVariablePool
 
@@ -43,13 +44,13 @@ def workload_contract(
             f"warm-up margin ({warmup_periods} periods) leaves no usable periods "
             f"out of {num_periods}"
         )
-    guarantees = []
-    for product in workload.requested_products():
-        demand = workload.demand(product)
-        required_rate = demand / effective
-        guarantees.append(
-            (pool.total_station_dropoffs(product) >= required_rate).named(
-                f"workload[{product}]"
-            )
+    guarantees = tuple(
+        linear_row(
+            add_terms({}, pool.product_dropoffs.get(product, ()), 1.0),
+            GE,
+            workload.demand(product) / effective,
+            f"workload[{product}]",
         )
-    return AGContract(name="workload", assumptions=(), guarantees=tuple(guarantees))
+        for product in workload.requested_products()
+    )
+    return AGContract(name="workload", assumptions=(), guarantees=guarantees)

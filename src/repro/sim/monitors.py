@@ -201,14 +201,20 @@ class ContractMonitor:
         violations: List[MonitorViolation] = list(self.live_violations)
         checked = 0
 
+        # Drop-off variables bind to physical hand-offs in the traffic
+        # contract (its flow meaning) and to completed station services in
+        # the workload contract (its end-to-end meaning).
+        observed = _observed(trace)
         if self.traffic_contract is not None:
-            assignment = self._bind(self.traffic_contract, trace, float(periods))
+            assignment = self._bind(self.traffic_contract, observed, float(periods))
             checked += self._check(
                 self.traffic_contract, assignment, slack / periods, violations
             )
         if self.demand_contract is not None:
             assignment = self._bind(
-                self.demand_contract, trace, float(effective), served=True
+                self.demand_contract,
+                dict(observed, **_dropoff_totals(trace.served)),
+                float(effective),
             )
             # No window slack here: served counts are cumulative events, so a
             # serviced workload satisfies its ≥-rate guarantees exactly, and
@@ -229,17 +235,14 @@ class ContractMonitor:
     def _bind(
         self,
         contract: AGContract,
-        trace: SimulationTrace,
+        observed: Mapping[str, Mapping[Tuple[int, ...], int]],
         denominator: float,
-        served: bool = False,
     ) -> Dict[Variable, float]:
         """Observed average per-period rate of every contract variable.
 
-        ``served=True`` binds drop-off variables to *completed* station
-        services (the workload contract's end-to-end meaning); otherwise they
-        bind to physical hand-offs (the traffic contract's flow meaning).
+        ``observed`` holds the trace's totals per variable family, keyed by
+        the variable's indices (see :func:`_observed`).
         """
-        dropoff_counts = trace.served if served else trace.handoffs
         assignment: Dict[Variable, float] = {}
         for variable in contract.variables:
             match = _VARIABLE_RE.match(variable.name)
@@ -248,35 +251,8 @@ class ContractMonitor:
                     f"contract variable {variable.name!r} is not a flow variable; "
                     "the monitor only understands flow-synthesis contracts"
                 )
-            family = match.group(1)
-            indices = tuple(int(i) for i in match.group(2).split(","))
-            if family == "f":
-                i, j, k = indices
-                count = _total(trace.transitions, (i, j, k))
-            elif family == "loaded":
-                i, j = indices
-                count = sum(
-                    int(c.sum())
-                    for (src, dst, k), c in trace.transitions.items()
-                    if src == i and dst == j and k != 0
-                )
-            elif family == "empty":
-                i, j = indices
-                count = _total(trace.transitions, (i, j, 0))
-            elif family == "fin":
-                count = _total(trace.pickups, indices)
-            elif family == "fout":
-                count = _total(dropoff_counts, indices)
-            elif family == "pickups":
-                (i,) = indices
-                count = sum(
-                    int(c.sum()) for (comp, _), c in trace.pickups.items() if comp == i
-                )
-            else:  # dropoffs
-                (i,) = indices
-                count = sum(
-                    int(c.sum()) for (comp, _), c in dropoff_counts.items() if comp == i
-                )
+            indices = tuple(map(int, match.group(2).split(",")))
+            count = observed[match.group(1)].get(indices, 0)
             assignment[variable] = count / denominator
         return assignment
 
@@ -332,9 +308,44 @@ class ContractMonitor:
         return workload.num_requested_products
 
 
-def _total(table: Mapping, key) -> int:
-    counts = table.get(key)
-    return int(counts.sum()) if counts is not None else 0
+def _totals(table: Mapping) -> Dict[Tuple[int, ...], int]:
+    """Each key's count summed over the periods."""
+    return {key: int(counts.sum()) for key, counts in table.items()}
+
+
+def _per_component(totals: Mapping[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
+    """``(component, product)`` totals summed over the products, keyed ``(component,)``."""
+    summed: Dict[Tuple[int, ...], int] = {}
+    for (component, _), count in totals.items():
+        summed[(component,)] = summed.get((component,), 0) + count
+    return summed
+
+
+def _dropoff_totals(table: Mapping) -> Dict[str, Dict[Tuple[int, ...], int]]:
+    fout = _totals(table)
+    return {"fout": fout, "dropoffs": _per_component(fout)}
+
+
+def _observed(trace: SimulationTrace) -> Dict[str, Dict[Tuple[int, ...], int]]:
+    """The trace's totals per flow-variable family, keyed by the variable's indices.
+
+    Aggregated in one pass per count table; drop-offs are hand-offs here.
+    """
+    transitions = _totals(trace.transitions)
+    loaded: Dict[Tuple[int, ...], int] = {}
+    empty: Dict[Tuple[int, ...], int] = {}
+    for (i, j, k), count in transitions.items():
+        family = loaded if k != 0 else empty
+        family[(i, j)] = family.get((i, j), 0) + count
+    pickups = _totals(trace.pickups)
+    return {
+        "f": transitions,
+        "loaded": loaded,
+        "empty": empty,
+        "fin": pickups,
+        "pickups": _per_component(pickups),
+        **_dropoff_totals(trace.handoffs),
+    }
 
 
 def monitor_from_synthesis(

@@ -240,11 +240,13 @@ def build_shelf_processes(
 ) -> Dict[ComponentId, ShelfProcess]:
     """One :class:`ShelfProcess` per shelving row, seeded from the live stock."""
     processes: Dict[ComponentId, ShelfProcess] = {}
+    table = system.units_table()
     for component in system.shelving_rows():
+        units = table[component.index]
         stock = {
-            product: units
+            product: units[product]
             for product in system.warehouse.catalog.product_ids
-            if (units := system.units_at(component.index, product)) > 0
+            if units[product] > 0
         }
         processes[component.index] = ShelfProcess(component.index, recorder, stock)
     return processes

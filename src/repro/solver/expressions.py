@@ -20,11 +20,26 @@ like the maths in the paper::
 The classes are deliberately simple (dict-of-coefficients) rather than clever;
 problems in this repository have at most a few tens of thousands of variables
 and sparse constraints, which this representation handles comfortably.
+
+**Hashing and pickling.**  Variables are dict keys everywhere, so a
+:class:`Variable` computes its hash once, at construction, from its four
+fields; equal variables (same name, bounds and integrality) hash equal.  String
+hashes are salted per interpreter, so the cached hash must not travel:
+pickling or copying a variable rebuilds it from its four fields
+(:meth:`Variable.__reduce__`), and expressions, constraints and contracts that
+hold variables unpickle into dicts keyed by freshly hashed ones.
+
+**Fast compile path.**  Operators validate their operands and build one
+intermediate expression per step.  Code that compiles many rows from
+variables it holds fills one coefficient dict per row (:func:`add_terms`)
+and hands it to :func:`linear_row`, which skips the re-validation and yields
+the same constraint as the operator chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float]
@@ -67,10 +82,20 @@ class Variable:
             raise ExpressionError(
                 f"variable {self.name!r} has empty domain [{self.lb}, {self.ub}]"
             )
+        # The value the dataclass hash would compute on every lookup.
+        object.__setattr__(self, "_hash", hash((self.name, self.lb, self.ub, self.integer)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields, so the hash is recomputed in the receiving
+        # interpreter (string hashes are salted per process).
+        return (Variable, (self.name, self.lb, self.ub, self.integer))
 
     # -- arithmetic ---------------------------------------------------------
     def _as_expr(self) -> "LinearExpr":
-        return LinearExpr({self: 1.0}, 0.0)
+        return LinearExpr._of({self: 1.0}, 0.0)
 
     def __add__(self, other: "ExprLike") -> "LinearExpr":
         return self._as_expr() + other
@@ -138,15 +163,28 @@ class LinearExpr:
         self.constant: float = float(constant)
 
     # -- constructors -------------------------------------------------------
+    @classmethod
+    def _of(cls, coeffs: Dict[Variable, float], constant: float) -> "LinearExpr":
+        """Wrap coefficients that are already valid: Variable keys, float values.
+
+        Skips the per-term checks of ``__init__``; zero terms are still dropped.
+        """
+        expr = cls.__new__(cls)
+        if 0.0 in coeffs.values():
+            coeffs = {var: coeff for var, coeff in coeffs.items() if coeff != 0.0}
+        expr.coeffs = coeffs
+        expr.constant = constant
+        return expr
+
     @staticmethod
     def from_operand(value: ExprLike) -> "LinearExpr":
         """Coerce a variable, number or expression into a :class:`LinearExpr`."""
         if isinstance(value, LinearExpr):
             return value
         if isinstance(value, Variable):
-            return LinearExpr({value: 1.0}, 0.0)
+            return LinearExpr._of({value: 1.0}, 0.0)
         if isinstance(value, (int, float)):
-            return LinearExpr({}, float(value))
+            return LinearExpr._of({}, float(value))
         raise ExpressionError(f"cannot build a linear expression from {value!r}")
 
     @staticmethod
@@ -159,11 +197,14 @@ class LinearExpr:
         coeffs: Dict[Variable, float] = {}
         constant = 0.0
         for term in terms:
+            if isinstance(term, Variable):
+                coeffs[term] = coeffs.get(term, 0.0) + 1.0
+                continue
             expr = LinearExpr.from_operand(term)
             constant += expr.constant
             for var, coeff in expr.coeffs.items():
                 coeffs[var] = coeffs.get(var, 0.0) + coeff
-        return LinearExpr(coeffs, constant)
+        return LinearExpr._of(coeffs, constant)
 
     # -- queries ------------------------------------------------------------
     def variables(self) -> Tuple[Variable, ...]:
@@ -196,7 +237,7 @@ class LinearExpr:
         coeffs = dict(self.coeffs)
         for var, coeff in other_expr.coeffs.items():
             coeffs[var] = coeffs.get(var, 0.0) + sign * coeff
-        return LinearExpr(coeffs, self.constant + sign * other_expr.constant)
+        return LinearExpr._of(coeffs, self.constant + sign * other_expr.constant)
 
     def __add__(self, other: ExprLike) -> "LinearExpr":
         return self._combine(other, +1.0)
@@ -213,9 +254,10 @@ class LinearExpr:
     def __mul__(self, factor: Number) -> "LinearExpr":
         if not isinstance(factor, (int, float)):
             raise ExpressionError("expressions can only be scaled by numbers")
-        return LinearExpr(
-            {var: coeff * float(factor) for var, coeff in self.coeffs.items()},
-            self.constant * float(factor),
+        factor = float(factor)
+        return LinearExpr._of(
+            {var: coeff * factor for var, coeff in self.coeffs.items()},
+            self.constant * factor,
         )
 
     def __rmul__(self, factor: Number) -> "LinearExpr":
@@ -299,8 +341,27 @@ class LinearConstraint:
 
 def variables_of(constraints: Iterable[LinearConstraint]) -> Tuple[Variable, ...]:
     """Collect the distinct variables referenced by a constraint collection."""
-    seen: Dict[Variable, None] = {}
-    for constraint in constraints:
-        for var in constraint.variables():
-            seen.setdefault(var, None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(chain.from_iterable(c.expr.coeffs for c in constraints)))
+
+
+def add_terms(
+    coeffs: Dict[Variable, float], variables: Iterable[Variable], coeff: float
+) -> Dict[Variable, float]:
+    """Add ``coeff`` to each variable's coefficient in ``coeffs``, in order; returns ``coeffs``."""
+    for var in variables:
+        coeffs[var] = coeffs.get(var, 0.0) + coeff
+    return coeffs
+
+
+def linear_row(
+    coeffs: Dict[Variable, float], sense: str, rhs: Number = 0.0, name: str = ""
+) -> LinearConstraint:
+    """The constraint ``Σ coeffs[v]·v <sense> rhs``, named ``name``.
+
+    ``coeffs`` is one coefficient dict filled by the caller from Variables it
+    holds, with float coefficients accumulated in term order; it is taken as is
+    (zero terms are dropped).  The result equals the operator-chained
+    ``(expr <sense> rhs).named(name)`` term for term, in insertion order, as
+    long as no term of the chain cancels to zero and is added again later.
+    """
+    return LinearConstraint(LinearExpr._of(coeffs, 0.0 - rhs), sense, name)

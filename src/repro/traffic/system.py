@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..warehouse.floorplan import FloorplanGraph, VertexId
+from ..warehouse.products import ProductError
 from ..warehouse.warehouse import Warehouse
 from .component import Component, ComponentKind, TrafficError, make_component
 
@@ -212,14 +214,30 @@ class TrafficSystem:
         ]
         return max(hops) if hops else 0
 
+    def units_table(self) -> List[List[int]]:
+        """UNITSAT for every component and product: ``table[i][k] = UNITSAT(Ci, ρk)``.
+
+        Sums each component's shelf-access columns of the *current* location
+        matrix; column 0 (ρ0) is zero.  Nothing is cached, so stock moved
+        between two calls shows in the second.
+        """
+        shelf_access = self.floorplan.shelf_access
+        owned = [(v, c) for v, c in self._vertex_owner.items() if v in shelf_access]
+        table = np.zeros((len(self.components), self.warehouse.num_products + 1), dtype=np.int64)
+        if owned:
+            vertices, owners = zip(*owned)
+            units = self.warehouse.stock.as_array()[:, list(vertices)]
+            np.add.at(table, list(owners), units.T)
+        return table.tolist()
+
     def units_at(self, component_id: ComponentId, product: int) -> int:
-        """UNITSAT(Ci, ρk): stocked units of a product accessible from a component."""
-        stock = self.warehouse.stock
-        return sum(
-            stock.units_at(product, vertex)
-            for vertex in self.component(component_id).vertices
-            if self.floorplan.is_shelf_access(vertex)
-        )
+        """UNITSAT(Ci, ρk): stocked units of a product accessible from a component.
+
+        One entry of :meth:`units_table`, which code reading many entries uses.
+        """
+        if not 1 <= product <= self.warehouse.num_products:
+            raise ProductError(f"invalid product id {product}")
+        return self.units_table()[component_id][product]
 
     def station_vertices_in(self, component_id: ComponentId) -> Tuple[VertexId, ...]:
         stations = self.warehouse.station_vertices

@@ -49,13 +49,13 @@ def coupling_constraints(pool: FlowVariablePool) -> List[LinearConstraint]:
         )
     for component, total in pool.total_pickup_vars.items():
         constraints.append(
-            (pool.total_pickups_expr(component) - total == 0).named(
+            (LinearExpr.sum(pool.row_pickups[component].values()) - total == 0).named(
                 f"couple-pickups[{component}]"
             )
         )
     for component, total in pool.total_dropoff_vars.items():
         constraints.append(
-            (pool.total_dropoffs_expr(component) - total == 0).named(
+            (LinearExpr.sum(pool.queue_dropoffs[component].values()) - total == 0).named(
                 f"couple-dropoffs[{component}]"
             )
         )

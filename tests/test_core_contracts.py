@@ -66,12 +66,12 @@ class TestFlowVariablePool:
         for (source, target), var in pool.loaded_vars.items():
             assert var.ub == system.component(target).capacity
 
-    def test_inflow_outflow_expressions(self, pool, system):
+    def test_inlet_and_outlet_flows(self, pool, system):
         component = system.components[0]
-        inflow = pool.inflow(component.index, EMPTY_HANDED)
-        assert len(inflow.variables()) == len(system.inlets_of(component.index))
-        outflow = pool.outflow(component.index, EMPTY_HANDED)
-        assert len(outflow.variables()) == len(system.outlets_of(component.index))
+        inflow = pool.inlet_flows(component.index, EMPTY_HANDED)
+        assert len(inflow) == len(system.inlets_of(component.index))
+        outflow = pool.outlet_flows(component.index, EMPTY_HANDED)
+        assert len(outflow) == len(system.outlets_of(component.index))
 
     def test_total_agents_counts_every_edge(self, pool, system):
         assert len(pool.total_agents().variables()) == 2 * len(system.edges())

@@ -1,7 +1,15 @@
 """Unit tests for the linear expression layer."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.contracts import AGContract
 from repro.solver.expressions import (
     EQ,
     GE,
@@ -153,3 +161,54 @@ class TestLinearConstraint:
         x, y = xy
         constraints = [x <= 1, y >= 0, x + y == 2]
         assert set(variables_of(constraints)) == {x, y}
+
+
+_UNPICKLE_AND_LOOK_UP = """
+import pickle, sys
+from repro.solver.expressions import Variable
+data = pickle.loads(sys.stdin.buffer.read())
+x = Variable("x", lb=0, ub=4, integer=True)
+y = Variable("y", lb=0, ub=None)
+assert data["keys"][x] == 1 and data["keys"][y] == 2
+assert data["expr"].coeffs[x] == 2.0 and data["expr"].coeffs[y] == -1.0
+contract = data["contract"]
+assert set(contract.variables) == {x, y}
+assert contract.assumptions[0].expr.coeffs[y] == 1.0
+assert contract.satisfied_by({x: 1, y: 2})
+print(hash("x"))
+"""
+
+
+def test_pickled_variables_are_found_under_another_hash_seed():
+    """A Variable caches its hash; the cache must not travel through pickle.
+
+    String hashes are salted per interpreter, so the objects are unpickled
+    in interpreters with other ``PYTHONHASHSEED`` values and looked up by
+    freshly built equal Variables.
+    """
+    x = Variable("x", lb=0, ub=4, integer=True)
+    y = Variable("y", lb=0, ub=None)
+    payload = pickle.dumps(
+        {
+            "keys": {x: 1, y: 2},
+            "expr": 2 * x - y + 1,
+            "contract": AGContract(
+                "c", assumptions=((x + y <= 3).named("cap"),), guarantees=((1 * x >= 1),)
+            ),
+        }
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child_hashes = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _UNPICKLE_AND_LOOK_UP],
+            input=payload,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        child_hashes.add(int(done.stdout))
+    # At least one child hashed strings differently from this interpreter.
+    assert child_hashes - {hash("x")}
