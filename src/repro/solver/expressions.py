@@ -359,8 +359,9 @@ def linear_row(
     """The constraint ``Σ coeffs[v]·v <sense> rhs``, named ``name``.
 
     ``coeffs`` is one coefficient dict filled by the caller from Variables it
-    holds, with float coefficients accumulated in term order; it is taken as is
-    (zero terms are dropped).  The result equals the operator-chained
+    holds, with float coefficients accumulated in term order; it is neither
+    re-validated nor copied (zero terms are dropped), so the caller must not
+    change it afterwards.  The result equals the operator-chained
     ``(expr <sense> rhs).named(name)`` term for term, in insertion order, as
     long as no term of the chain cancels to zero and is added again later.
     """

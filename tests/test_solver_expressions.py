@@ -18,6 +18,8 @@ from repro.solver.expressions import (
     LinearConstraint,
     LinearExpr,
     Variable,
+    add_terms,
+    linear_row,
     variables_of,
 )
 
@@ -161,6 +163,17 @@ class TestLinearConstraint:
         x, y = xy
         constraints = [x <= 1, y >= 0, x + y == 2]
         assert set(variables_of(constraints)) == {x, y}
+
+
+class TestLinearRow:
+    def test_equals_the_operator_chain(self, xy):
+        x, y = xy
+        coeffs = add_terms(add_terms({}, [x, y, x], 1.0), [y], -1.0)
+        row = linear_row(coeffs, LE, 3, "r")
+        chained = (LinearExpr.sum([x, y, x]) - y <= 3).named("r")
+        assert (row.name, row.sense, row.expr.constant) == ("r", LE, -3.0)
+        assert (chained.name, chained.sense, chained.expr.constant) == ("r", LE, -3.0)
+        assert list(row.expr.coeffs.items()) == list(chained.expr.coeffs.items()) == [(x, 2.0)]
 
 
 _UNPICKLE_AND_LOOK_UP = """
