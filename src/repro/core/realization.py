@@ -1,20 +1,28 @@
 """Realizing an agent cycle set as a discrete plan (Sec. IV-C, Algorithm 1).
 
-Every component moves the agents it contains toward its exit (one cell per
-move; a cell can only be entered if it was free on the previous timestep, so
-moves can never collide or swap); once per cycle period the agent at a
-component's exit may advance to the entry of the next component of its agent
-cycle.  With cycle time ``tc = 2m`` (``m`` = longest component) and no
-component loaded beyond ``⌊|Ci|/2⌋`` cycle positions, every agent advances
-exactly one component per period (Property 4.1) — the realizer verifies this
-at every period boundary.
+Every component moves the agents it contains toward its exit, one cell per
+move.  Each timestep has two phases:
+
+1. once per cycle period, the agent at a component's exit may advance to the
+   entry of the next component of its agent cycle, if that entry was free at
+   the start of the timestep, no other advance claimed it, and the next
+   component has admitted fewer than its capacity of agents this period;
+2. every other agent moves one cell on, front first, into a cell that was
+   free at the start of the timestep or that the agent ahead of it left in
+   this same timestep — a train of agents in a component moves up together.
+   No cell is entered twice, and an exit left by an advance stays blocked
+   until the next timestep.
+
+Agents never meet head-on, so moves can never collide or swap.  With cycle
+time ``tc = 2m`` (``m`` = longest component) and no component loaded beyond
+``⌊|Ci|/2⌋`` cycle positions, every agent advances exactly one component per
+period (Property 4.1) — the realizer verifies this at every period boundary.
 
 Property 4.1 makes the motion periodic, so the realizer simulates it
 timestep by timestep only until the state at a period boundary repeats
 (typically within two periods) and tiles that window to the horizon.  Motion
 never depends on what agents carry; the loads are replayed afterwards, only
-at the ticks where an agent with a pending pickup or drop-off reaches a new
-cell or advances into a new component.
+at the arrivals where an agent's pending pickup or drop-off can succeed.
 
 Pickups and drop-offs happen while an agent traverses a component with a
 pickup / drop-off action: a pickup grabs the next product from the shelving
@@ -32,7 +40,7 @@ three feasibility conditions of Sec. III.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -164,15 +172,26 @@ def _realize_motion(
     the new period).  Once that key repeats an earlier boundary's, the window
     between the two boundaries repeats to the horizon, lag counts included.
     """
-    agents_by_component: Dict[ComponentId, List[_AgentState]] = {
-        c.index: [] for c in system.components
-    }
+    components = system.components
+    exits = [component.exit for component in components]
+    #: The vertex after each component vertex on the way to its exit (None at
+    #: the exit); components are disjoint, so one table serves them all.
+    next_of: Dict[int, Optional[int]] = {}
+    for component in components:
+        path = component.vertices
+        next_of.update(zip(path, path[1:] + (None,)))
+    #: Each component's agents, front (nearest the exit) first.  Agents never
+    #: overtake inside a component and an entrant joins at the entry, behind
+    #: everyone, so the order holds without re-sorting.
+    members_of: List[List[_AgentState]] = [[] for _ in components]
     for agent in agents:
-        agents_by_component[agent.component].append(agent)
+        members_of[agent.component].append(agent)
+    for component, members in zip(components, members_of):
+        members.sort(key=lambda a: component.position_of(a.vertex), reverse=True)
 
     columns = [[agent.vertex for agent in agents]]
     advances: List[List[Tuple[int, int]]] = []
-    entered_this_period: Dict[ComponentId, int] = {c.index: 0 for c in system.components}
+    entered_this_period = [0] * len(components)
     lagging_at: Dict[int, int] = {}
     boundary_of: Dict[tuple, int] = {}
     repeat: Optional[Tuple[int, int]] = None
@@ -181,7 +200,7 @@ def _realize_motion(
         period_start = (t // cycle_time) * cycle_time
         if t % cycle_time == 0:
             if t > 0:
-                entered_this_period = {c.index: 0 for c in system.components}
+                entered_this_period = [0] * len(components)
                 lagging = [a for a in agents if a.advance_t < t - cycle_time]
                 lagging_at[t] = len(lagging)
                 if lagging and strict_periods:
@@ -205,23 +224,22 @@ def _realize_motion(
         advanced: List[Tuple[int, int]] = []
 
         # Phase 1 — cross-component advances (one eligible front agent per component).
-        for component in system.components:
-            members = agents_by_component[component.index]
+        for members, exit_vertex in zip(members_of, exits):
             if not members:
                 continue
-            front = max(members, key=lambda a: component.position_of(a.vertex))
-            if front.vertex != component.exit or front.advance_t >= period_start:
+            front = members[0]
+            if front.vertex != exit_vertex or front.advance_t >= period_start:
                 continue
             next_position = (front.position + 1) % front.cycle.length
             next_component_id = front.cycle.components[next_position]
-            next_component = system.component(next_component_id)
+            next_component = components[next_component_id]
             entry = next_component.entry
             if entry in occupied or entry in claimed:
                 continue
             if entered_this_period[next_component_id] >= next_component.capacity:
                 continue
-            members.remove(front)
-            agents_by_component[next_component_id].append(front)
+            del members[0]
+            members_of[next_component_id].append(front)
             front.component = next_component_id
             front.position = next_position
             front.vertex = entry
@@ -230,17 +248,13 @@ def _realize_motion(
             claimed.add(entry)
             entered_this_period[next_component_id] += 1
 
-        # Phase 2 — in-component moves for everyone that did not advance.
-        for component in system.components:
-            members = sorted(
-                agents_by_component[component.index],
-                key=lambda a: component.position_of(a.vertex),
-                reverse=True,
-            )
+        # Phase 2 — in-component moves for everyone that did not advance,
+        # front first, so a train moves up together.
+        for members in members_of:
             for agent in members:
                 if agent.advance_t == t + 1:
                     continue  # advanced across components this very timestep
-                next_vertex = component.next_vertex(agent.vertex)
+                next_vertex = next_of[agent.vertex]
                 if (
                     next_vertex is not None
                     and next_vertex not in occupied
@@ -290,45 +304,68 @@ def _replay_actions(
     Phase 0 is decided at the time-t vertex and recorded at t + 1 (the
     paper's condition (3) constrains φ_{t+1} by π_t: a product is picked from
     the shelf the agent stands next to *before* moving).  It only ever
-    changes state for an agent with a pending action that can still succeed
-    — an empty-handed agent holding a scheduled product on a pickup row, or
-    a loaded agent on a drop-off row — and a failed check repeats identically
-    until the agent reaches a new vertex (nobody else can pick from the cell
-    it occupies).  So each such agent is checked only at its arrivals, and
-    everything runs in Algorithm 1's (tick, agent id) order, since stock and
-    the delivery queues are shared.
+    changes state for an agent with a pending action — an empty-handed agent
+    holding a scheduled product on a pickup row, or a loaded agent on a
+    drop-off row — at a cell where that action can succeed: a station cell,
+    or a cell still stocking the target product.  Stations are fixed and
+    stock only shrinks, so a cell that cannot serve the action now cannot
+    serve it later either.  Each such agent is therefore checked only at its
+    next arrival at a cell that can, scanning no further than its next
+    advance (which schedules afresh for the next component).  Checks run in
+    Algorithm 1's (tick, agent id) order, since stock and the delivery
+    queues are shared.
     """
     num_agents, horizon = positions.shape
-    moved = positions[:, 1:] != positions[:, :-1]
-    #: Per agent, the ticks it reaches a new vertex and those vertices.
+    arrived = np.ones((num_agents, horizon), dtype=bool)
+    arrived[:, 1:] = positions[:, 1:] != positions[:, :-1]
+    #: Per agent, the ticks it occupies a new vertex (tick 0 first) and those
+    #: vertices.
     arrivals = []
-    for agent, row in enumerate(moved):
-        ticks = np.flatnonzero(row) + 1
+    for agent, row in enumerate(arrived):
+        ticks = np.flatnonzero(row)
         arrivals.append((ticks.tolist(), positions[agent, ticks].tolist()))
+    #: Per agent, the ticks it advances into its next component.
+    advance_ticks: List[List[int]] = [[] for _ in range(num_agents)]
+    for t, advanced in enumerate(advances):
+        for agent, _ in advanced:
+            advance_ticks[agent].append(t)
     units = stock.as_array().tolist()
 
     cycles = [agent.cycle for agent in agents]
     position = [p for p, _, _ in start]
     carry = [c for _, c, _ in start]
+    advanced_so_far = [0] * num_agents
     #: Product each agent was assigned when it entered its current shelving
     #: row (popped from the row's delivery schedule), until it picks it.
     target: List[Optional[ProductId]] = [None] * num_agents
-    #: Tick of each agent's next check (-1: nothing can happen until it advances).
-    next_check = [-1] * num_agents
-    checks: Dict[int, List[int]] = {}
+    #: Per tick, the (agent, arrival index) checks due; an agent has at most
+    #: one pending, never past its next advance.
+    checks: Dict[int, List[Tuple[int, int]]] = {}
 
-    def schedule_check(agent: int, t: int) -> None:
+    def schedule_check(agent: int, index: int) -> None:
+        """Check ``agent`` at its first arrival from ``index`` on where its
+        pending action can succeed, before its next advance."""
         action = cycles[agent].actions[position[agent]]
-        live = action is not None and (
-            (carry[agent] == EMPTY_HANDED and target[agent] is not None)
-            if action.is_pickup
-            else carry[agent] != EMPTY_HANDED
-        )
-        if not live or t >= horizon - 1:
-            next_check[agent] = -1
-        elif next_check[agent] != t:
-            next_check[agent] = t
-            checks.setdefault(t, []).append(agent)
+        if action is None:
+            return
+        if action.is_pickup:
+            if carry[agent] != EMPTY_HANDED or target[agent] is None:
+                return
+        elif carry[agent] == EMPTY_HANDED:
+            return
+        ticks, vertices = arrivals[agent]
+        upcoming = advance_ticks[agent]
+        done = advanced_so_far[agent]
+        # The load change of the last tick falls outside the plan.
+        limit = min(upcoming[done], horizon - 2) if done < len(upcoming) else horizon - 2
+        end = bisect_right(ticks, limit)
+        if action.is_pickup:
+            stocked = units[target[agent]]
+            hit = next((i for i in range(index, end) if stocked[vertices[i]] > 0), None)
+        else:
+            hit = next((i for i in range(index, end) if vertices[i] in stations), None)
+        if hit is not None:
+            checks.setdefault(ticks[hit], []).append((agent, hit))
 
     for agent, (_, _, action_done) in enumerate(start):
         if not action_done:
@@ -340,43 +377,33 @@ def _replay_actions(
     for t in range(horizon - 1):
         due = checks.pop(t, None)
         if due:
-            for agent in sorted(due):
-                if next_check[agent] != t:
-                    continue  # superseded by an advance
-                next_check[agent] = -1
-                ticks, vertices = arrivals[agent]
-                index = bisect_left(ticks, t)
-                if index < len(ticks) and ticks[index] == t:
-                    vertex = vertices[index]
-                    index += 1
-                else:  # t == 0, before the first arrival
-                    vertex = int(positions[agent, 0])
+            for agent, index in sorted(due):
+                vertex = arrivals[agent][1][index]
                 if cycles[agent].actions[position[agent]].is_pickup:
                     product = target[agent]
-                    if units[product][vertex] > 0:
-                        units[product][vertex] -= 1
-                        carry[agent] = product
-                        target[agent] = None
-                        pickups[product] = pickups.get(product, 0) + 1
-                        changes.append((agent, t + 1, product))
+                    if units[product][vertex] <= 0:  # picked empty since scheduled
+                        schedule_check(agent, index + 1)
                         continue
-                elif vertex in stations:
+                    units[product][vertex] -= 1
+                    carry[agent] = product
+                    target[agent] = None
+                    pickups[product] = pickups.get(product, 0) + 1
+                    changes.append((agent, t + 1, product))
+                else:  # scheduled at station cells only
                     product = carry[agent]
                     deliveries[product] = deliveries.get(product, 0) + 1
                     carry[agent] = EMPTY_HANDED
                     changes.append((agent, t + 1, -product))
-                    continue
-                if index < len(ticks):
-                    schedule_check(agent, ticks[index])
         for agent, cycle_position in advances[t]:
             position[agent] = cycle_position
+            advanced_so_far[agent] += 1
             action = cycles[agent].actions[cycle_position]
             if action is not None and action.is_pickup and carry[agent] == EMPTY_HANDED:
                 # Commit the next scheduled unit of this shelving row to the
                 # entering agent; it will grab it at the first stocked cell it
                 # traverses (FIFO consumption of the delivery schedule).
                 target[agent] = schedule.next_product(cycles[agent].components[cycle_position])
-            schedule_check(agent, t + 1)
+            schedule_check(agent, bisect_left(arrivals[agent][0], t + 1))
 
     deltas = np.zeros((num_agents, horizon), dtype=np.int64)
     deltas[:, 0] = [c for _, c, _ in start]

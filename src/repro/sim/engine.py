@@ -17,7 +17,8 @@ exports the priority bands the warehouse processes use:
 * :data:`PRIORITY_AGENTS` — agent executors stepping the realized plan;
 * :data:`PRIORITY_STATIONS` — station service completions;
 * :data:`PRIORITY_MONITORS` — runtime contract monitors (observe the settled state);
-* :data:`PRIORITY_TELEMETRY` — trace sampling (always sees the final state of a tick).
+* :data:`PRIORITY_TELEMETRY` — end-of-tick sampling (always sees the final state
+  of a tick; the twin's own processes record as they act and need none).
 
 A same-tick event can never be scheduled into a phase that has already run:
 when a callback executing in band ``p`` schedules an event at the current tick

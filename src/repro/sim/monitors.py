@@ -151,10 +151,11 @@ class ContractMonitor:
             if period < 0 or period >= recorder.periods:
                 return
             entries = recorder.entries_per_component(period)
-            for component in self.system.components:
-                entered = entries.get(component.index, 0)
+            for index in sorted(entries):
+                component = self.system.component(index)
+                entered = entries[index]
                 if entered > component.capacity:
-                    key = (component.index, period)
+                    key = (index, period)
                     if key in self._live_seen:
                         continue
                     self._live_seen[key] = now
@@ -241,18 +242,27 @@ class ContractMonitor:
         """Observed average per-period rate of every contract variable.
 
         ``observed`` holds the trace's totals per variable family, keyed by
-        the variable's indices (see :func:`_observed`).
+        the variable's indices (see :func:`_observed`).  Its few hundred keys
+        are named once, the way the flow variables are, and each variable is
+        looked up by name; one nothing was observed for binds to 0.
         """
+        counts = {
+            f"{family}[{','.join(map(str, indices))}]": count
+            for family, table in observed.items()
+            for indices, count in table.items()
+            # Off-component hand-offs and pickups (index -1) name no variable.
+            if min(indices) >= 0
+        }
         assignment: Dict[Variable, float] = {}
         for variable in contract.variables:
-            match = _VARIABLE_RE.match(variable.name)
-            if match is None:
-                raise MonitorError(
-                    f"contract variable {variable.name!r} is not a flow variable; "
-                    "the monitor only understands flow-synthesis contracts"
-                )
-            indices = tuple(map(int, match.group(2).split(",")))
-            count = observed[match.group(1)].get(indices, 0)
+            count = counts.get(variable.name)
+            if count is None:
+                if _VARIABLE_RE.match(variable.name) is None:
+                    raise MonitorError(
+                        f"contract variable {variable.name!r} is not a flow variable; "
+                        "the monitor only understands flow-synthesis contracts"
+                    )
+                count = 0
             assignment[variable] = count / denominator
         return assignment
 

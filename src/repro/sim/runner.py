@@ -1,7 +1,7 @@
 """Run orchestration: one call from a realized plan to a :class:`SimulationReport`.
 
 :func:`simulate_plan` builds the full process graph — order stream → order
-book, agent executors → shelf/station processes, telemetry sampler, runtime
+book, agent executors → shelf/station processes → trace recorder, runtime
 contract monitor — on one seeded engine, runs it for the plan's horizon, and
 condenses the outcome.  :func:`simulate_solution` is the pipeline-level entry
 point that pulls everything it needs out of a
@@ -26,7 +26,7 @@ from .disruptions import (
     ResilientPlanExecutor,
     nominal_deliveries_by,
 )
-from .engine import PRIORITY_TELEMETRY, SimulationEngine
+from .engine import SimulationEngine
 from .monitors import ContractMonitor, MonitorReport, monitor_from_synthesis
 from .routing import RoutingConfig, RoutingReport, route_plan
 from .stations import (
@@ -68,7 +68,8 @@ class SimulationConfig:
     monitor_slack_units: Optional[float] = None
     #: Keep the full ordered event log (the determinism witness).
     record_events: bool = True
-    #: Sample station queue lengths every tick.
+    #: Record every station's queue length per tick (stations report it at
+    #: each hand-off and service completion; the trace carries it forward).
     sample_queues: bool = True
     #: Stop after this many ticks (``None`` = the executed plan's horizon).
     max_ticks: Optional[int] = None
@@ -380,13 +381,7 @@ def _simulate_traced(
         monitor.attach(engine, recorder, cycle_time)
 
     if config.sample_queues:
-
-        def sample_queues() -> None:
-            now = engine.now
-            for component_id, station in stations.items():
-                recorder.record_queue_length(now, component_id, station.queue_length)
-
-        engine.every(1, sample_queues, PRIORITY_TELEMETRY, start=0, until=ticks - 1)
+        recorder.track_queues(stations)
     setup_timer.__exit__(None, None, None)
 
     engine.run(until=ticks - 1)

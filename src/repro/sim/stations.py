@@ -145,6 +145,7 @@ class StationProcess:
         self.units_received += 1
         self.recorder.record_handoff(self.engine.now, self.component_id, product)
         self._waiting.append(product)
+        self._report_queue()
         self._try_start()
 
     def go_offline(self) -> None:
@@ -155,6 +156,14 @@ class StationProcess:
         """Outage over: resume draining the queue this tick."""
         self.online = True
         self._try_start()
+
+    def _report_queue(self) -> None:
+        # Only hand-offs and completions change the length (starting a
+        # service moves a unit within it), so the trace's per-tick series
+        # needs a report at these two events alone.
+        self.recorder.record_queue_length(
+            self.engine.now, self.component_id, self.queue_length
+        )
 
     def _try_start(self) -> None:
         while self.online and self._waiting and self._in_service < self.servers:
@@ -168,6 +177,7 @@ class StationProcess:
     def _complete(self, product: ProductId) -> None:
         self._in_service -= 1
         self.units_served += 1
+        self._report_queue()
         self.recorder.record_served(self.engine.now, self.component_id, product)
         if self.order_book is not None:
             self.order_book.unit_served(product, self.engine.now)

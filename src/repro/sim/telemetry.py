@@ -208,7 +208,12 @@ class TraceRecorder:
         self._pickups: Dict[Tuple[int, int], np.ndarray] = {}
         self._handoffs: Dict[Tuple[int, int], np.ndarray] = {}
         self._served: Dict[Tuple[int, int], np.ndarray] = {}
-        self._queues: Dict[int, np.ndarray] = {}
+        #: Agents that entered each component, per complete period (the live
+        #: capacity check's query), tallied as transitions are recorded.
+        self._entries: Dict[int, Dict[ComponentId, int]] = {}
+        #: Queue length of each tracked station component after the last
+        #: change of every tick that changed it.
+        self._queues: Dict[int, Dict[int, int]] = {}
         self.order_latencies: List[int] = []
         self.orders_created = 0
         self.orders_served = 0
@@ -227,15 +232,17 @@ class TraceRecorder:
             return period
         return None
 
-    def _bump(self, table: Dict, key, tick: int) -> None:
+    def _bump(self, table: Dict, key, tick: int) -> Optional[int]:
+        """Count one ``key`` event in its tick's period; returns the period."""
         period = self._period_of(tick)
         if period is None:
-            return
+            return None
         counts = table.get(key)
         if counts is None:
             counts = np.zeros(self.periods, dtype=np.int64)
             table[key] = counts
         counts[period] += 1
+        return period
 
     def _log(self, *record) -> None:
         if self.events is not None:
@@ -257,7 +264,10 @@ class TraceRecorder:
         self, tick: int, source: ComponentId, target: ComponentId, product: ProductId
     ) -> None:
         """An agent crossed from component ``source`` to ``target`` carrying ``product``."""
-        self._bump(self._transitions, (source, target, product), tick)
+        period = self._bump(self._transitions, (source, target, product), tick)
+        if period is not None:
+            entered = self._entries.setdefault(period, {})
+            entered[target] = entered.get(target, 0) + 1
         self._log(EV_TRANSITION, tick, source, target, product)
 
     def record_pickup(self, tick: int, component: ComponentId, product: ProductId) -> None:
@@ -336,21 +346,36 @@ class TraceRecorder:
         return self.entries_per_component(period).get(component, 0)
 
     def entries_per_component(self, period: int) -> Dict[ComponentId, int]:
-        """Agents that entered each component during one complete period,
-        tallied in one pass over the transition counts (live query)."""
-        entered: Dict[ComponentId, int] = {}
-        if 0 <= period < self.periods:
-            for (_, dst, _), counts in self._transitions.items():
-                entered[dst] = entered.get(dst, 0) + int(counts[period])
-        return entered
+        """Agents that entered each component during one complete period
+        (live query; components nobody entered are absent)."""
+        return dict(self._entries.get(period, {}))
+
+    def track_queues(self, components) -> None:
+        """Keep a per-tick queue-length series for these station components.
+
+        Each series reads 0 until the component's first report.
+        """
+        for component in components:
+            self._queues.setdefault(component, {})
 
     def record_queue_length(self, tick: int, component: ComponentId, length: int) -> None:
-        samples = self._queues.get(component)
-        if samples is None:
-            samples = np.zeros(self.ticks, dtype=np.int64)
-            self._queues[component] = samples
-        if 0 <= tick < self.ticks:
-            samples[tick] = length
+        """A tracked station's queue length changed to ``length`` at ``tick``.
+
+        Stations report after every change, so the last report of a tick is
+        the length the tick ends with; untracked components are ignored.
+        """
+        changes = self._queues.get(component)
+        if changes is not None and 0 <= tick < self.ticks:
+            changes[tick] = length
+
+    def _queue_series(self, changes: Dict[int, int]) -> np.ndarray:
+        """Per-tick queue lengths, each tick's last report carried forward."""
+        steps = np.zeros(self.ticks, dtype=np.int64)
+        if changes:
+            ticks = np.fromiter(changes, dtype=np.int64, count=len(changes))
+            lengths = np.fromiter(changes.values(), dtype=np.int64, count=len(changes))
+            steps[ticks] = np.diff(lengths, prepend=0)
+        return np.cumsum(steps)
 
     # -- freezing -----------------------------------------------------------------
     def build(
@@ -370,7 +395,10 @@ class TraceRecorder:
             pickups=dict(self._pickups),
             handoffs=dict(self._handoffs),
             served=dict(self._served),
-            queue_samples=dict(self._queues),
+            queue_samples={
+                component: self._queue_series(changes)
+                for component, changes in self._queues.items()
+            },
             order_latencies=list(self.order_latencies),
             orders_created=self.orders_created,
             orders_served=self.orders_served,

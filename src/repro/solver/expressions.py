@@ -51,6 +51,9 @@ EQ = "=="
 
 _VALID_SENSES = (LE, GE, EQ)
 
+#: Stands in for a variable an assignment lacks.
+_MISSING = object()
+
 
 class ExpressionError(ValueError):
     """Raised when an expression or constraint is built from invalid operands."""
@@ -226,9 +229,10 @@ class LinearExpr:
         """
         total = self.constant
         for var, coeff in self.coeffs.items():
-            if var not in assignment:
+            value = assignment.get(var, _MISSING)
+            if value is _MISSING:
                 raise ExpressionError(f"assignment missing variable {var.name!r}")
-            total += coeff * float(assignment[var])
+            total += coeff * float(value)
         return total
 
     # -- arithmetic ---------------------------------------------------------

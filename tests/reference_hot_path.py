@@ -14,8 +14,13 @@ reproduce byte for byte; the equivalence tests run both and compare:
 * :func:`plan_deliveries` — :meth:`Plan.deliveries` as a double loop;
 * :class:`PlanExecutor` — one engine event per tick stepping every agent and
   sampling the visit counts column by column;
-* :func:`attach_monitor` — the live capacity check querying the recorder once
-  per component at every period boundary.
+* :func:`track_queues` — every station's queue length sampled at the end of
+  every tick (an ``every(1)`` event in the telemetry band) into per-tick
+  arrays, where the library's stations report it only at hand-offs and
+  service completions and the trace carries each report forward;
+* :func:`attach_monitor` — the live capacity check counting each component's
+  entries from the recorder's transition table at every period boundary,
+  where the library tallies them as transitions are recorded.
 
 Install the replay oracles into a run with :func:`reference_replay` (a
 context manager patching the runner's import sites).  Nothing here is
@@ -39,7 +44,8 @@ from repro.core.realization import (
 from repro.sim import monitors as sim_monitors
 from repro.sim import runner as sim_runner
 from repro.sim.agents import ExecutionError
-from repro.sim.engine import PRIORITY_AGENTS, PRIORITY_MONITORS
+from repro.sim.engine import PRIORITY_AGENTS, PRIORITY_MONITORS, PRIORITY_TELEMETRY
+from repro.sim.telemetry import TraceRecorder
 from repro.sim.monitors import LIVE_CAPACITY, MonitorViolation
 from repro.warehouse.plan import Plan, PlanValidationReport, PlanViolation
 from repro.warehouse.products import EMPTY_HANDED
@@ -510,8 +516,27 @@ class PlanExecutor:
             self.engine.schedule_at(now + 1, self._tick, PRIORITY_AGENTS)
 
 
+def track_queues(recorder, stations) -> None:
+    """Sample every station's queue length at the end of every tick (an
+    ``every(1)`` event in the telemetry band) into zero-initialised per-tick
+    arrays, which the trace takes as they are."""
+    recorder._queues = {
+        component: np.zeros(recorder.ticks, dtype=np.int64) for component in stations
+    }
+    if not stations:
+        return
+    engine = next(iter(stations.values())).engine
+
+    def sample() -> None:
+        now = engine.now
+        for component, station in stations.items():
+            recorder._queues[component][now] = station.queue_length
+
+    engine.every(1, sample, PRIORITY_TELEMETRY, start=0, until=recorder.ticks - 1)
+
+
 def attach_monitor(monitor, engine, recorder, cycle_time: int) -> None:
-    """The live capacity check, one recorder query per component."""
+    """The live capacity check, counting entries from the transition table."""
 
     def check_period() -> None:
         now = engine.now
@@ -519,7 +544,11 @@ def attach_monitor(monitor, engine, recorder, cycle_time: int) -> None:
         if period < 0 or period >= recorder.periods:
             return
         for component in monitor.system.components:
-            entered = recorder.transitions_into(component.index, period)
+            entered = sum(
+                int(counts[period])
+                for (_, target, _), counts in recorder._transitions.items()
+                if target == component.index
+            )
             if entered > component.capacity:
                 key = (component.index, period)
                 if key in monitor._live_seen:
@@ -559,17 +588,28 @@ def attach_monitor(monitor, engine, recorder, cycle_time: int) -> None:
 
 @contextmanager
 def reference_replay():
-    """Run :func:`repro.sim.runner.simulate_plan` on the tick-by-tick oracles."""
-    saved_executor = sim_runner.PlanExecutor
-    saved_attach = sim_monitors.ContractMonitor.attach
-    sim_runner.PlanExecutor = PlanExecutor
-    sim_monitors.ContractMonitor.attach = (
-        lambda self, engine, recorder, cycle_time: attach_monitor(
-            self, engine, recorder, cycle_time
+    """Run :func:`repro.sim.runner.simulate_plan` on the tick-by-tick oracles.
+
+    The stations' own queue reports are dropped, so the queue series come
+    from the per-tick sampler alone.
+    """
+    saved = {
+        (owner, name): getattr(owner, name)
+        for owner, name in (
+            (sim_runner, "PlanExecutor"),
+            (sim_monitors.ContractMonitor, "attach"),
+            (TraceRecorder, "track_queues"),
+            (TraceRecorder, "record_queue_length"),
+            (TraceRecorder, "_queue_series"),
         )
-    )
+    }
+    sim_runner.PlanExecutor = PlanExecutor
+    sim_monitors.ContractMonitor.attach = attach_monitor
+    TraceRecorder.track_queues = track_queues
+    TraceRecorder.record_queue_length = lambda self, tick, component, length: None
+    TraceRecorder._queue_series = lambda self, samples: samples
     try:
         yield
     finally:
-        sim_runner.PlanExecutor = saved_executor
-        sim_monitors.ContractMonitor.attach = saved_attach
+        for (owner, name), original in saved.items():
+            setattr(owner, name, original)

@@ -3,7 +3,8 @@
 Realization (periodic motion tiled to the horizon, loads replayed at their
 events), plan validation (numpy screens ahead of the per-cell checks),
 :meth:`Plan.deliveries` and plan replay (engine events only at eventful
-ticks) are each compared with the straightforward loops kept in
+ticks, queue lengths reported at their changes, entries tallied as they
+happen) are each compared with the straightforward loops kept in
 ``reference_hot_path.py`` on the preset suites' scenarios: the plan
 matrices, the realization's counts, the validation reports and the
 serialized traces must be identical.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import reference_hot_path as reference
-from repro.core import RealizationOptions, realize_cycle_set
+from repro.core import DeliverySchedule, RealizationOptions, realize_cycle_set
 from repro.core.pipeline import (
     build_delivery_schedule,
     decompose_flow_set,
@@ -31,7 +32,11 @@ from repro.experiments.generator import (
 from repro.io import trace_to_dict
 from repro.maps import MAP_REGISTRY
 from repro.sim import RoutingConfig, ServiceTimeModel, SimulationConfig, simulate_plan
-from repro.warehouse import Plan, PlanValidator, Workload
+from repro.sim.disruptions import parse_disruptions
+from repro.warehouse import LocationMatrix, Plan, PlanValidator, Workload
+
+
+STORM = "breakdown:0.02:12,slowdown:0.02:10,outage:0.01:20,block:0.02:8,surge:0.05:2"
 
 
 def _layouts():
@@ -144,6 +149,36 @@ def test_lenient_realization_counts_tiled_violations_like_reference(instances):
     )
 
 
+def test_contended_stock_realization_matches_reference(monkeypatch):
+    """Table I's Fulfillment-1/550 with one unit of every product at each
+    row's last stocked cell, and every pickup at a row scheduled for the
+    row's first product: the agents sharing a row race for that unit, so a
+    cell that stocks an agent's target when its check is scheduled can be
+    empty by the time the agent gets there."""
+    designed = MAP_REGISTRY["fulfillment-1"]()
+    workload = Workload.uniform(designed.warehouse.catalog, 550)
+    synthesis = synthesize_flows(designed.traffic_system, workload, 3600)
+    cycle_set = decompose_flow_set(synthesis.flow_set)
+    schedule = build_delivery_schedule(synthesis.flow_set, workload)
+    warehouse = designed.warehouse
+    stock = warehouse.stock.as_array()
+    lean = np.zeros_like(stock)
+    for component in designed.traffic_system.components:
+        stocked = [v for v in component.vertices if stock[:, v].any()]
+        if stocked:
+            lean[1:, stocked[-1]] = 1
+    contended = DeliverySchedule(
+        {row: queue[:1] * len(queue) for row, queue in schedule.queues.items()}
+    )
+    options = RealizationOptions(preload_agents=False)
+    monkeypatch.setattr(
+        warehouse, "stock", LocationMatrix(warehouse.catalog, warehouse.floorplan, lean)
+    )
+    assert _outcome(realize_cycle_set, cycle_set, contended, options) == _outcome(
+        reference.realize_cycle_set, cycle_set, contended, options
+    )
+
+
 def _report(report):
     return (
         [(v.condition, v.agent, v.timestep, v.detail) for v in report.violations],
@@ -173,6 +208,14 @@ REPLAYS = {
         record_events=False,
     ),
     "truncated": SimulationConfig(seed=2, max_ticks=137, record_events=False),
+    # The twin benchmark's storm on one slow server per station: outages,
+    # failovers and queues that back up, through the resilient executor.
+    "storm": SimulationConfig(
+        seed=7,
+        service_time=ServiceTimeModel.geometric(3),
+        servers_per_station=1,
+        disruptions=parse_disruptions(STORM),
+    ),
 }
 
 
@@ -201,7 +244,11 @@ def _both(plan, designed, workload, synthesis, config):
 
 @pytest.mark.parametrize("mode", sorted(REPLAYS))
 def test_replay_matches_reference(plans, mode):
-    for label, designed, workload, synthesis, realized in plans:
+    # The resilient executor steps every agent every tick, so the storm takes
+    # every tenth plan: four plans, one and two station queues, live
+    # breaches and failovers among them.
+    chosen = plans[::10] if mode == "storm" else plans
+    for label, designed, workload, synthesis, realized in chosen:
         ours, theirs = _both(realized.plan, designed, workload, synthesis, REPLAYS[mode])
         assert ours == theirs, label
 

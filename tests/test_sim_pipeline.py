@@ -89,6 +89,35 @@ class TestDeterminism:
         assert first.trace.events != second.trace.events
 
 
+def _spans(spans):
+    for span in spans:
+        yield span
+        yield from _spans(span["children"])
+
+
+def test_nominal_replay_runs_no_per_tick_event():
+    """A nominal smoke-scenario replay's engine handles events, not ticks:
+    nothing runs in the telemetry band, yet every station still gets its
+    per-tick queue series (stations report it at hand-offs and completions)."""
+    from repro.experiments.generator import smoke_suite
+    from repro.obs import capture_trace
+
+    spec = smoke_suite(1)[0]
+    designed, workload = spec.build()
+    solution = WSPSolver(designed.traffic_system).solve(workload, horizon=spec.horizon)
+    assert solution.succeeded
+    with capture_trace():
+        report = simulate_solution(
+            solution, SimulationConfig(seed=spec.seed, record_events=False)
+        )
+    runs = [s for s in _spans(report.trace.obs["spans"]) if s["name"] == "sim.engine.run"]
+    assert len(runs) == 1
+    assert "events.telemetry" not in runs[0]["counters"]
+    queues = report.trace.queue_samples
+    assert sorted(queues) == [c.index for c in designed.traffic_system.station_queues()]
+    assert all(samples.shape == (report.ticks,) for samples in queues.values())
+
+
 class TestFlowConservation:
     def test_baseline_trace_is_conserved(self, baseline_report):
         assert baseline_report.trace.conservation_report() == []
