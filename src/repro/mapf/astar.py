@@ -3,9 +3,9 @@
 Three entry points:
 
 * :func:`shortest_path_lengths` — true single-agent BFS distances used as the
-  admissible heuristic, now served from the shared per-floorplan
-  :class:`~repro.mapf.heuristics.DistanceTables` cache instead of re-running a
-  dict BFS per call;
+  admissible heuristic, served from the per-floorplan
+  :class:`~repro.mapf.heuristics.DistanceTables`, which live as long as the
+  graph does;
 * :func:`space_time_astar` — *Safe Interval Path Planning* (SIPP): instead of
   expanding one node per (vertex, tick) — where almost every expansion on a
   congested map is a forced wait — the search state is (vertex, safe
@@ -20,8 +20,9 @@ Three entry points:
   against concrete paths) but replaces the seed's rebuild-the-focal-list-per-
   expansion selection with the classic two-structure scheme: a bucketed open
   list keyed by f plus a persistent focal heap swept incrementally as the
-  w·f_min threshold grows, and O(1) occupancy probes instead of
-  O(num_agents) path scans per generated node.
+  w·f_min threshold grows.  Collision counts come from an occupancy index of
+  the other agents' paths that costs O(path length) per path added; the ECBS
+  root grows one index, a planned path at a time.
 
 Both searches order their open lists with *bucket queues*: every edge costs
 one tick and the BFS heuristic is consistent, so f-values are small dense
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..warehouse.floorplan import FloorplanGraph, VertexId
 from .constraints import ConstraintSet, ReservationTable
@@ -51,9 +52,10 @@ def shortest_path_lengths(
 ) -> Dict[VertexId, int]:
     """BFS distances to ``goal`` (admissible, consistent heuristic).
 
-    Kept as the documented dict-shaped public API; the distances now come from
-    the shared vectorized :class:`~repro.mapf.heuristics.DistanceTables`, so
-    repeated calls for one goal cost a cache lookup, not a BFS.
+    Kept as the documented dict-shaped public API.  The row comes from the
+    floorplan's shared :class:`~repro.mapf.heuristics.DistanceTables`, which
+    keep every goal's row for as long as the graph lives, so repeated calls
+    for one goal cost a lookup plus this dict, not a BFS.
     """
     table = distance_tables(floorplan).table(goal)
     return {vertex: int(d) for vertex, d in enumerate(table) if d >= 0}
@@ -65,8 +67,6 @@ class SearchStats:
 
     expansions: int = 0
     generated: int = 0
-    #: Collision probes done by the focal low level (one per generated node).
-    conflict_checks: int = 0
 
 
 class _BucketQueue:
@@ -326,41 +326,44 @@ def count_path_conflicts(
 
 
 class _Occupancy:
-    """O(1) per-tick collision probes against a fixed set of paths.
+    """Collision probes against a set of paths that only ever grows.
 
-    Built once per low-level call: per-timestep vertex occupancy counts, move
-    counts for swap detection, and the rest-at-goal tail beyond the longest
-    path.  Replaces the seed's O(num_paths) ``position_at`` scan per generated
-    node.
+    Each path is indexed once, when it is added, in O(its length): a count per
+    ``(vertex, tick)`` cell it holds, the tick its rest at its last vertex
+    starts (agents rest at their goal forever), and a count per move for swap
+    detection.  A probe is two dict lookups plus a bisect over the rest-start
+    ticks of the target vertex.  ECBS keeps one index for its root and adds
+    each agent's path once it is planned; an index lives as long as its
+    caller holds it.
     """
 
-    __slots__ = ("_verts", "_moves", "_rest", "_horizon")
+    __slots__ = ("_cells", "_rest", "_moves")
 
-    def __init__(self, other_paths: Sequence[Sequence[VertexId]]) -> None:
-        self._horizon = max((len(p) for p in other_paths), default=0)
-        self._verts: List[Dict[VertexId, int]] = []
-        for t in range(self._horizon):
-            counts: Dict[VertexId, int] = {}
-            for p in other_paths:
-                v = position_at(p, t)
-                counts[v] = counts.get(v, 0) + 1
-            self._verts.append(counts)
+    def __init__(self, paths: Sequence[Sequence[VertexId]] = ()) -> None:
+        self._cells: Dict[Tuple[VertexId, int], int] = {}
+        #: Per vertex, the sorted ticks from which a path rests on it.
+        self._rest: Dict[VertexId, List[int]] = {}
         self._moves: Dict[Tuple[VertexId, VertexId, int], int] = {}
-        self._rest: Dict[VertexId, int] = {}
-        for p in other_paths:
-            if p:
-                self._rest[p[-1]] = self._rest.get(p[-1], 0) + 1
-            for t in range(1, len(p)):
-                if p[t - 1] != p[t]:
-                    key = (p[t - 1], p[t], t)
-                    self._moves[key] = self._moves.get(key, 0) + 1
+        for path in paths:
+            self.add(path)
+
+    def add(self, path: Sequence[VertexId]) -> None:
+        """Index one more path."""
+        cells, moves = self._cells, self._moves
+        for t, vertex in enumerate(path):
+            cells[(vertex, t)] = cells.get((vertex, t), 0) + 1
+            if t and path[t - 1] != vertex:
+                key = (path[t - 1], vertex, t)
+                moves[key] = moves.get(key, 0) + 1
+        if path:
+            insort(self._rest.setdefault(path[-1], []), len(path))
 
     def probe(self, from_vertex: VertexId, to_vertex: VertexId, arrival: int) -> int:
         """Collisions incurred by moving ``from -> to`` arriving at ``arrival``."""
-        if arrival < self._horizon:
-            extra = self._verts[arrival].get(to_vertex, 0)
-        else:
-            extra = self._rest.get(to_vertex, 0)
+        extra = self._cells.get((to_vertex, arrival), 0)
+        rest = self._rest.get(to_vertex)
+        if rest is not None:
+            extra += bisect_right(rest, arrival)
         if from_vertex != to_vertex:
             extra += self._moves.get((to_vertex, from_vertex, arrival), 0)
         return extra
@@ -383,7 +386,7 @@ def space_time_focal_astar(
     goal: VertexId,
     agent: int,
     constraints: ConstraintSet,
-    other_paths: Sequence[Sequence[VertexId]],
+    other_paths: Union[Sequence[Sequence[VertexId]], _Occupancy],
     suboptimality: float = 1.5,
     heuristic=None,
     max_timestep: Optional[int] = None,
@@ -396,6 +399,9 @@ def space_time_focal_astar(
     Returns ``(path, lower_bound)`` where ``lower_bound`` is the minimum f-value
     seen in the open list (used by the high level to bound global cost), or
     ``None`` when no path exists.
+
+    ``other_paths`` is a sequence of paths or an occupancy index already
+    built over them (the ECBS root passes the one it grows).
     """
     h = heuristic_array(floorplan, goal, heuristic)
     if h[start] < 0:
@@ -405,13 +411,16 @@ def space_time_focal_astar(
     horizon_guard = max_timestep if max_timestep is not None else (
         floorplan.num_vertices * 4 + constraints.latest_constraint_time(agent)
     )
-    occupancy = _Occupancy(other_paths)
+    occupancy = (
+        other_paths
+        if isinstance(other_paths, _Occupancy)
+        else _Occupancy(other_paths)
+    )
 
     counter = itertools.count()
     start_state = (start, 0)
     g_scores: Dict[Tuple[VertexId, int], int] = {start_state: 0}
     parents: Dict[Tuple[VertexId, int], Tuple[VertexId, int]] = {}
-    conflict_cache: Dict[Tuple[VertexId, int], int] = {start_state: 0}
     closed: Set[Tuple[VertexId, int]] = set()
 
     # Two-structure focal search: unswept nodes live in f-keyed buckets; once
@@ -487,8 +496,6 @@ def space_time_focal_astar(
                 g_scores[next_state] = tentative
                 parents[next_state] = state
                 extra = occupancy.probe(vertex, neighbor, next_time)
-                stats.conflict_checks += 1
-                conflict_cache[next_state] = conflicts + extra
                 stats.generated += 1
                 push(
                     (

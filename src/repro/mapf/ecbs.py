@@ -30,10 +30,10 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs import span
-from .astar import SearchStats, space_time_focal_astar
+from .astar import SearchStats, _Occupancy, space_time_focal_astar
 from .cbs import _branch_constraints
 from .constraints import ConstraintSet
 from .heuristics import agent_table, distance_tables
@@ -88,7 +88,9 @@ def solve_ecbs(
                 }
 
             def plan_agent(
-                agent_id: int, constraints: ConstraintSet, other_paths: List[Path]
+                agent_id: int,
+                constraints: ConstraintSet,
+                other_paths: Union[List[Path], _Occupancy],
             ) -> Optional[Tuple[Path, int]]:
                 agent = problem.agents[agent_id]
                 return space_time_focal_astar(
@@ -103,18 +105,24 @@ def solve_ecbs(
                     stats=stats,
                 )
 
+            # Each root path is planned against the ones before it, so the
+            # root grows one occupancy index, a path at a time.
             root_constraints = ConstraintSet()
             root_paths: List[Path] = []
             root_bounds: List[int] = []
+            root_occupancy = _Occupancy()
             for agent in problem.agents:
                 with sp.timer("low_level"):
-                    result = plan_agent(agent.agent_id, root_constraints, root_paths)
+                    result = plan_agent(
+                        agent.agent_id, root_constraints, root_occupancy
+                    )
                 if result is None:
                     sp.set_attr("outcome", "root_unsolvable")
                     return None
                 path, bound = result
                 root_paths.append(path)
                 root_bounds.append(bound)
+                root_occupancy.add(path)
 
             counter = itertools.count()
             with sp.timer("conflict_detection"):
@@ -182,9 +190,12 @@ def solve_ecbs(
                     sp.set_attr("outcome", "time_limit")
                     return None
 
-                with sp.timer("conflict_detection"):
-                    conflict = first_conflict(node.paths)
-                sp.add("conflict_checks")
+                # count_conflicts is 0 exactly when first_conflict finds none.
+                conflict = None
+                if node.conflicts:
+                    with sp.timer("conflict_detection"):
+                        conflict = first_conflict(node.paths)
+                    sp.add("conflict_checks")
                 if conflict is None:
                     sp.set_attr("outcome", "solved")
                     return MAPFSolution(

@@ -12,12 +12,17 @@ alone rivalled the search itself.
 * the floorplan's adjacency is flattened once into CSR-style numpy arrays
   (``indptr`` / ``indices``), so a BFS wavefront expands with vectorized
   gather/scatter operations instead of per-neighbor dict probes;
-* one ``int32`` distance row is computed per *goal vertex* and memoized, so
-  every low-level call, every CT node, and every replan episode that targets
-  the same goal shares one table;
-* tables are cached per floorplan (keyed by object identity with weak
-  cleanup), matching the ``FloorplanGraph.from_grid`` memo: repeated scenario
-  builds of one map share both the graph and its distance tables.
+* one ``int32`` distance row is computed per *goal vertex* and kept (at
+  most one row per vertex, ``4 * num_vertices`` bytes each), so every
+  low-level call, every CT node, every replan episode and every later
+  routing pass that targets the same goal shares one row;
+* rows confined to a corridor (an allowed-vertex set) are kept in an LRU of
+  at most :data:`CORRIDOR_ROWS` rows per floorplan, since the corridors a
+  router hands out are unbounded in number;
+* tables are registered per floorplan (keyed by object identity) and live
+  exactly as long as the graph: a ``weakref.finalize`` on the graph drops its
+  entry.  Together with the ``FloorplanGraph.from_grid`` memo, repeated
+  scenario builds of one map share both the graph and its distance tables.
 
 Unreachable vertices hold :data:`UNREACHABLE` (-1); callers test with
 ``table[v] >= 0`` instead of dict membership.
@@ -25,7 +30,9 @@ Unreachable vertices hold :data:`UNREACHABLE` (-1); callers test with
 
 from __future__ import annotations
 
+import threading
 import weakref
+from collections import OrderedDict
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -34,6 +41,9 @@ from ..warehouse.floorplan import FloorplanGraph, VertexId
 
 #: Sentinel distance for vertices a goal cannot be reached from.
 UNREACHABLE = -1
+
+#: Corridor-confined rows kept per floorplan (least recently used evicted).
+CORRIDOR_ROWS = 1024
 
 
 class DistanceTables:
@@ -55,7 +65,12 @@ class DistanceTables:
             count=int(self.indptr[-1]),
         )
         self._tables: Dict[VertexId, np.ndarray] = {}
-        self._masked: Dict[Tuple[VertexId, FrozenSet[VertexId]], np.ndarray] = {}
+        self._masked: "OrderedDict[Tuple[VertexId, FrozenSet[VertexId]], np.ndarray]" = (
+            OrderedDict()
+        )
+        #: Guards the corridor LRU: routing runs on several threads share one
+        #: graph's tables, and a lookup re-orders the LRU.
+        self._masked_lock = threading.Lock()
 
     def table(
         self, goal: VertexId, corridor: Optional[FrozenSet[VertexId]] = None
@@ -74,12 +89,17 @@ class DistanceTables:
                 self._tables[goal] = cached
             return cached
         key = (goal, corridor)
-        cached = self._masked.get(key)
-        if cached is None:
+        masked = self._masked
+        with self._masked_lock:
+            cached = masked.get(key)
+            if cached is not None:
+                masked.move_to_end(key)
+                return cached
             allowed = np.zeros(self.num_vertices, dtype=bool)
             allowed[list(corridor)] = True
-            cached = self._bfs(goal, allowed)
-            self._masked[key] = cached
+            cached = masked[key] = self._bfs(goal, allowed)
+            if len(masked) > CORRIDOR_ROWS:
+                masked.popitem(last=False)
         return cached
 
     def distance(self, source: VertexId, goal: VertexId) -> int:
@@ -121,26 +141,30 @@ class DistanceTables:
     def cached_goals(self) -> int:
         return len(self._tables)
 
+    @property
+    def cached_corridor_rows(self) -> int:
+        return len(self._masked)
 
-#: Weak per-floorplan registry: tables die with their graph.
-_TABLES: "weakref.WeakValueDictionary[int, DistanceTables]" = weakref.WeakValueDictionary()
-_OWNERS: "weakref.WeakValueDictionary[int, FloorplanGraph]" = weakref.WeakValueDictionary()
+
+#: Per-floorplan registry keyed by ``id(graph)``; each graph's finalizer
+#: removes its entry, so the tables live exactly as long as the graph.
+_TABLES: Dict[int, DistanceTables] = {}
 
 
 def distance_tables(floorplan: FloorplanGraph) -> DistanceTables:
     """The shared :class:`DistanceTables` of a floorplan graph.
 
     Keyed by object identity (floorplan graphs are memoized and treated as
-    immutable); a dead graph releases its tables, and an identity collision
-    with a *different* live graph is impossible while the owner is alive.
+    immutable).  The entry is dropped when the graph is collected, before its
+    id can be reused, so an identity collision with another graph cannot
+    happen; the tables themselves hold no reference to the graph.
     """
     key = id(floorplan)
     tables = _TABLES.get(key)
-    if tables is not None and _OWNERS.get(key) is floorplan:
-        return tables
-    tables = DistanceTables(floorplan)
-    _TABLES[key] = tables
-    _OWNERS[key] = floorplan
+    if tables is None:
+        tables = DistanceTables(floorplan)
+        _TABLES[key] = tables
+        weakref.finalize(floorplan, _TABLES.pop, key, None).atexit = False
     return tables
 
 

@@ -54,6 +54,7 @@ minute).
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -466,14 +467,25 @@ class IteratedPlanner:
         episode then degrades gracefully (the blocked agent parks and the
         solver reports the episode unsolvable or routes around it) instead of
         crashing the whole lifelong run.
+
+        The BFS runs over the whole floorplan (an off-corridor vertex can
+        lead back into the corridor) and stops at the first vertex that
+        qualifies: BFS discovery order is nearest first.
         """
         allowed = corridor if corridor is not None and start in corridor else None
-        distances = self.floorplan.bfs_distances(start)
-        for vertex in sorted(distances, key=distances.get):
-            if allowed is not None and vertex not in allowed:
-                continue
-            if vertex not in blocked:
-                return vertex
+        if start not in blocked:
+            return start
+        adjacency = self.floorplan.adjacency
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for vertex in adjacency[queue.popleft()]:
+                if vertex in seen:
+                    continue
+                if vertex not in blocked and (allowed is None or vertex in allowed):
+                    return vertex
+                seen.add(vertex)
+                queue.append(vertex)
         # Fully blocked: wait in place (sentinel), never raise.
         return start
 

@@ -51,10 +51,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..mapf.heuristics import distance_tables
 from ..mapf.mapd import IteratedPlanner, IteratedPlannerOptions, LifelongTask
 from ..mapf.problem import find_conflicts
 from ..warehouse.floorplan import FloorplanGraph, VertexId
-from ..warehouse.plan import Plan
+from ..warehouse.plan import Plan, may_collide
 from ..warehouse.products import ProductId
 
 #: Execution modes: ``abstract`` replays the plan, the rest route on the grid.
@@ -70,6 +71,9 @@ ROUTER_ENGINES = {
 
 #: Default commit window of the ``lifelong`` router (ticks per replan).
 DEFAULT_LIFELONG_WINDOW = 8
+
+#: One routing goal: ``(vertex, release tick, carry after, corridor)``.
+GoalSpec = Tuple[VertexId, int, Optional[ProductId], Optional[frozenset]]
 
 
 class RoutingError(ValueError):
@@ -259,9 +263,7 @@ def plan_waypoints(plan: Plan, with_ticks: bool = False) -> List[List[Tuple]]:
     return events
 
 
-def plan_goal_specs(
-    plan: Plan, system=None
-) -> List[List[Tuple[VertexId, int, Optional[ProductId], Optional[frozenset]]]]:
+def plan_goal_specs(plan: Plan, system=None) -> List[List[GoalSpec]]:
     """Per agent, the ordered routing goals: ``(vertex, release, carry, corridor)``.
 
     Always contains the load-change waypoints (``carry`` = the product carried
@@ -279,99 +281,87 @@ def plan_goal_specs(
     (e.g. straight backward from a serpentine into its station instead of
     around the one-way loop), and the contract monitor correctly flags the
     unpromised flows.
+
+    Owners are read from a vertex-to-component array, and a corridor is built
+    only at the tick of its goal.
     """
-    if system is None:
-        owner = lambda v: None  # noqa: E731 - trivial accessor stub
-        comp_vertices: Dict[int, Tuple[VertexId, ...]] = {}
-    else:
-        owner = system.owner_of
-        comp_vertices = {c.index: tuple(c.vertices) for c in system.components}
-    specs: List[List[Tuple[VertexId, int, Optional[ProductId], Optional[frozenset]]]] = []
+    changed = plan.carrying[:, 1:] != plan.carrying[:, :-1]
+    if system is not None:
+        comp_vertices = [component.vertices for component in system.components]
+        owners = np.full(plan.warehouse.floorplan.num_vertices, -1, dtype=np.int64)
+        for index, vertices in enumerate(comp_vertices):
+            owners[list(vertices)] = index
+        owned = owners[plan.positions]
+        entered = (owned[:, 1:] >= 0) & (owned[:, 1:] != owned[:, :-1])
+    specs: List[List[GoalSpec]] = []
     for agent in range(plan.num_agents):
-        carrying = plan.carrying[agent]
         positions = plan.positions[agent]
-        out: List[List] = []
-        seg_owners: set = set()
-        seg_free: set = set()
+        carrying = plan.carrying[agent]
+        changes = np.flatnonzero(changed[agent]).tolist()
+        if system is None:
+            specs.append(
+                [(int(positions[t]), t, int(carrying[t + 1]), None) for t in changes]
+            )
+            continue
+        agent_owned = owned[agent]
 
-        def corridor() -> Optional[frozenset]:
-            if system is None:
-                return None
-            allowed: set = set(seg_free)
-            for index in seg_owners:
+        def corridor(first: int, stop: int) -> set:
+            """Unowned cells and owning components' vertices of ticks [first, stop)."""
+            leg = agent_owned[first:stop]
+            allowed = set(positions[first:stop][leg < 0].tolist())
+            for index in np.unique(leg[leg >= 0]).tolist():
                 allowed.update(comp_vertices[index])
-            return frozenset(allowed)
+            return allowed
 
-        def accumulate(vertex: VertexId) -> None:
-            here = owner(vertex)
-            if here is None:
-                seg_free.add(vertex)
-            else:
-                seg_owners.add(here)
-
-        for t in range(plan.horizon):
+        entries = set((np.flatnonzero(entered[agent]) + 1).tolist())
+        out: List[GoalSpec] = []
+        # Each leg's corridor starts at the previous goal's position.
+        leg_start = 0
+        for t in sorted(entries.union(changes)):
             vertex = int(positions[t])
-            here = owner(vertex)
-            appended = False
-            if (
-                t > 0
-                and system is not None
-                and here is not None
-                and here != owner(int(positions[t - 1]))
-            ):
+            carry = (
+                int(carrying[t + 1])
+                if t < plan.horizon - 1 and changed[agent, t]
+                else None
+            )
+            if t in entries:
                 # Entry breadcrumb.  Its corridor deliberately excludes the
                 # entered component's interior — only the entry vertex itself
                 # is admitted.  Were the whole component included, the router
                 # could slip across any physically-adjacent border between the
                 # previous component and the new one instead of crossing at
                 # the promised vertex, producing component transitions the
-                # traffic graph never licensed.
-                allowed = corridor()
-                if allowed is not None:
-                    allowed = frozenset(allowed | {vertex})
-                out.append([vertex, t, None, allowed])
-                appended = True
-            accumulate(vertex)
-            if t < plan.horizon - 1 and carrying[t + 1] != carrying[t]:
-                if appended:
-                    # The entry breadcrumb and the load change coincide.
-                    out[-1][2] = int(carrying[t + 1])
-                else:
-                    out.append([vertex, t, int(carrying[t + 1]), corridor()])
-                    appended = True
-            if appended:
-                # Start the next leg's corridor at this goal's position.
-                seg_owners.clear()
-                seg_free.clear()
-                accumulate(vertex)
-        specs.append([tuple(entry) for entry in out])
+                # traffic graph never licensed.  A load change on the same
+                # tick rides on the breadcrumb.
+                allowed = corridor(leg_start, t)
+                allowed.add(vertex)
+            else:
+                allowed = corridor(leg_start, t + 1)
+            out.append((vertex, t, carry, frozenset(allowed)))
+            leg_start = t
+        specs.append(out)
     return specs
 
 
 def free_flow_cost(
-    floorplan: FloorplanGraph,
-    start: VertexId,
-    goals: Tuple[VertexId, ...],
-    distance_cache: Optional[Dict[VertexId, Dict[VertexId, int]]] = None,
+    floorplan: FloorplanGraph, start: VertexId, goals: Tuple[VertexId, ...]
 ) -> int:
     """Single-agent BFS cost of visiting ``goals`` in order from ``start``.
 
     This is the congestion-free lower bound a solo agent would achieve; the
-    routed cost divided by this is the path-length inflation.  ``distance_cache``
-    memoizes one BFS per unique goal vertex across agents.
+    routed cost divided by this is the path-length inflation.  Distances come
+    from the floorplan's shared distance tables (one row per goal vertex).
     """
-    cache = distance_cache if distance_cache is not None else {}
+    tables = distance_tables(floorplan)
     total = 0
     current = start
     for goal in goals:
-        if goal not in cache:
-            cache[goal] = floorplan.bfs_distances(goal)
-        distances = cache[goal]
-        if current not in distances:
+        distance = tables.distance(current, goal)
+        if distance < 0:
             raise RoutingError(
                 f"waypoint {goal} is unreachable from vertex {current}"
             )
-        total += distances[current]
+        total += distance
         current = goal
     return total
 
@@ -514,10 +504,7 @@ def route_plan(
     )
 
     # -- telemetry -------------------------------------------------------------
-    cache: Dict[VertexId, Dict[VertexId, int]] = {}
-    free_total = sum(
-        free_flow_cost(floorplan, task.start, task.goals, cache) for task in tasks
-    )
+    free_total = sum(free_flow_cost(floorplan, task.start, task.goals) for task in tasks)
     # Per-agent routed cost: ticks to the last completed waypoint.  The
     # stitched paths all share one padded length (everyone commits the same
     # ticks per episode), so summing raw lengths would measure
@@ -543,7 +530,9 @@ def route_plan(
         goals_total=result.goals_total,
         replans=result.episodes,
         expansions=result.expansions,
-        conflicts=len(find_conflicts(result.paths)),
+        # The padded positions repeat each path's last vertex, as
+        # find_conflicts does, so a clean screen means no conflicts.
+        conflicts=len(find_conflicts(result.paths)) if may_collide(positions) else 0,
         routed_cost=routed_total,
         free_flow_cost=free_total,
         carry_mismatches=carry_mismatches,

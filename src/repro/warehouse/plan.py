@@ -409,6 +409,18 @@ class PlanValidator:
                         return
 
 
+def may_collide(positions: np.ndarray) -> bool:
+    """Whether the numpy screens flag a vertex or swap collision.
+
+    ``False`` is exact (the positions are collision-free); ``True`` may be a
+    false alarm, which an exact per-tick check must settle.
+    """
+    ordered = np.sort(positions, axis=0)
+    if (ordered[1:] == ordered[:-1]).any():
+        return True
+    return _swap_candidates(positions).size > 0
+
+
 def _swap_candidates(positions: np.ndarray) -> np.ndarray:
     """Timesteps ``t`` at which two agents may swap across an edge into ``t + 1``.
 

@@ -1,14 +1,23 @@
 """Tests for the MAPF substrate: space-time A*, constraints, reservations."""
 
+import gc
+import random
+import sys
+import threading
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.mapf import (
     Constraint,
     ConstraintSet,
+    DistanceTables,
     MAPFProblem,
     ReservationTable,
     SearchStats,
     count_path_conflicts,
+    distance_tables,
     find_conflicts,
     first_conflict,
     position_at,
@@ -16,6 +25,7 @@ from repro.mapf import (
     space_time_astar,
     space_time_focal_astar,
 )
+from repro.mapf import heuristics
 from repro.warehouse import FloorplanGraph, build_grid
 
 OPEN_5X3 = build_grid(5, 3)
@@ -195,3 +205,81 @@ class TestProblemValidation:
 
         with pytest.raises(MAPFError):
             MAPFProblem.from_pairs(floorplan, [(0, 99999)])
+
+
+class TestDistanceTableRegistry:
+    @staticmethod
+    def fresh_graph():
+        """A graph outside the ``from_grid`` memo, so the test owns its lifetime."""
+        base = FloorplanGraph.from_grid(OPEN_5X3)
+        return FloorplanGraph(
+            cells=list(base.cells),
+            adjacency=list(base.adjacency),
+            shelf_access=base.shelf_access,
+            stations=base.stations,
+        )
+
+    def test_tables_outlive_the_callers_reference(self):
+        floorplan = self.fresh_graph()
+        distance_tables(floorplan).table(0)
+        gc.collect()
+        tables = distance_tables(floorplan)
+        assert tables.cached_goals == 1
+
+    def test_tables_die_with_their_graph(self):
+        floorplan = self.fresh_graph()
+        tables = weakref.ref(distance_tables(floorplan))
+        gc.collect()
+        assert tables() is not None
+        del floorplan
+        gc.collect()
+        assert tables() is None
+
+    def test_corridor_rows_stay_within_their_bound(self, monkeypatch):
+        monkeypatch.setattr(heuristics, "CORRIDOR_ROWS", 8)
+        floorplan = self.fresh_graph()
+        tables = distance_tables(floorplan)
+        corridors = [frozenset({0, extra}) for extra in range(1, 15)]
+        rows = [tables.table(0, corridor) for corridor in corridors]
+        assert tables.cached_corridor_rows == 8
+        # Least recently used goes first: the oldest row left survives the
+        # next insertion once re-read, and the one after it does not.
+        assert tables.table(0, corridors[6]) is rows[6]
+        tables.table(0, frozenset({1, 2}))
+        assert tables.cached_corridor_rows == 8
+        assert tables.table(0, corridors[6]) is rows[6]
+        assert tables.table(0, corridors[7]) is not rows[7]
+
+    def test_corridor_rows_survive_concurrent_routers(self, monkeypatch):
+        # Threads routing on one graph share its corridor LRU.  With one row
+        # kept and two corridors in turn, nearly every lookup evicts, so a
+        # hit re-ordering the LRU races an eviction unless the LRU is locked.
+        monkeypatch.setattr(heuristics, "CORRIDOR_ROWS", 1)
+        floorplan = self.fresh_graph()
+        tables = distance_tables(floorplan)
+        corridors = [frozenset({0, 1}), frozenset({0, 2})]
+        expected = {c: DistanceTables(floorplan).table(0, c) for c in corridors}
+        errors = []
+
+        def route(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(5000):
+                    corridor = rng.choice(corridors)
+                    assert np.array_equal(tables.table(0, corridor), expected[corridor])
+            except Exception as error:  # reported below, on the test's thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=route, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert tables.cached_corridor_rows == 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import WSPSolver
 from repro.maps import toy_warehouse
+from repro.obs import capture_trace
 from repro.mapf import (
     CBSOptions,
     ECBSOptions,
@@ -114,6 +115,17 @@ class TestECBS:
     def test_invalid_suboptimality_rejected(self):
         with pytest.raises(ValueError):
             ECBSOptions(suboptimality=0.5)
+
+    def test_conflict_scans_only_on_conflicted_nodes(self):
+        # A node whose conflict count is 0 is the solution, so every expanded
+        # node but the last pays for a first_conflict scan, and a clean root
+        # pays for none.
+        single = MAPFProblem.from_pairs(open_floorplan(), [(0, 4)])
+        for problem in (single, crossing_problem(), corridor_swap_problem()):
+            with capture_trace() as capture:
+                assert solve_ecbs(problem, ECBSOptions(suboptimality=1.0)) is not None
+            counters = capture.root.counters
+            assert counters.get("conflict_checks", 0) == counters["ct_nodes_expanded"] - 1
 
     def test_many_agents_on_open_grid(self):
         floorplan = open_floorplan(6, 4)

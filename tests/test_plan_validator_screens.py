@@ -6,6 +6,8 @@ The screens (edge codes, per-column sorts, swap codes, load-change masks)
 may over-flag but must never miss a cell; the per-cell checks then decide.
 Any under-flagging shows up here as a missing or reordered violation, a
 different ``max_violations`` cut-off, or different pickup/delivery counts.
+The same screens, as :func:`may_collide`, stand in front of the routed
+paths' conflict count; that they never miss a conflict is checked too.
 """
 
 from functools import lru_cache
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 import reference_hot_path as reference
 from repro.core import WSPSolver
 from repro.experiments.generator import smoke_suite
+from repro.mapf import find_conflicts
 from repro.warehouse import Plan, PlanValidator, Warehouse
+from repro.warehouse.plan import may_collide
 from repro.warehouse.products import LocationMatrix
 
 HORIZON = 160
@@ -129,3 +133,19 @@ def test_screened_validator_matches_cell_by_cell_loops(case):
             theirs = reference.PlanValidator(warehouse, track_inventory, max_violations)
             assert _report(ours.validate(plan)) == _report(theirs.validate(plan))
     assert plan.deliveries() == reference.plan_deliveries(plan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    paths=st.lists(
+        st.lists(st.integers(0, 6), min_size=1, max_size=6), min_size=1, max_size=4
+    )
+)
+def test_may_collide_never_misses_a_conflict(paths):
+    # Padding repeats each path's last vertex, as find_conflicts does.
+    horizon = max(len(path) for path in paths)
+    positions = np.array(
+        [path + [path[-1]] * (horizon - len(path)) for path in paths], dtype=np.int64
+    )
+    if find_conflicts(paths):
+        assert may_collide(positions)
