@@ -45,6 +45,12 @@ The CLI exposes the common workflows without writing Python:
   (``--save-trace`` writes the span tree as JSON);
 * ``python -m repro validate --plan plan.json`` — re-validate a saved plan
   against the three feasibility conditions.
+
+The module imports only what :func:`build_parser` needs (the version, the
+preset-suite, router and optimize choices); each ``cmd_*`` imports the
+pipeline pieces it runs.  So ``repro --version``, ``repro serve``, ``repro
+loadtest`` and ``repro top`` start without loading the solver, the contract
+algebra, the simulation runner or networkx.
 """
 
 from __future__ import annotations
@@ -54,49 +60,15 @@ import signal
 import sys
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import __version__
-from .analysis import (
-    BenchmarkRow,
-    compare_sweeps,
-    compute_plan_metrics,
-    compute_sim_metrics,
-    render_congestion,
-    render_disruption_timeline,
-    render_edge_heatmap,
-    render_traffic_system,
-    sweep_report,
-    table1_report,
-    throughput_gap_report,
-)
-from .core import SolverOptions, SynthesisOptions, WSPSolver
-from .experiments import (
-    PRESET_SUITES,
-    ResultStore,
-    ScenarioError,
-    SweepOptions,
-    load_records,
-    parse_service_time,
-    preset_scenarios,
-    run_sweep,
-)
-from .analysis.service import loadtest_report as render_loadtest_report
-from .io import load_json, plan_from_dict, plan_to_dict, save_json, save_map, trace_to_dict
-from .maps import MAP_REGISTRY, PAPER_MAP_STATS
-from .sim import (
-    ROUTERS,
-    DisruptionError,
-    OrderStreamError,
-    RoutingConfig,
-    ServiceTimeModel,
-    SimulationConfig,
-    SimulationSetupError,
-    parse_disruptions,
-)
-from .warehouse import PlanValidator, Workload
-from .warehouse.warehouse import WarehouseError
-from .warehouse.workload import WorkloadError
+from .experiments import PRESET_SUITES
+from .optimize import OBJECTIVES, OPTIMIZE_PRESETS, OPTIMIZERS
+from .sim.routing import ROUTERS
+
+if TYPE_CHECKING:
+    from .sim.stations import ServiceTimeModel
 
 #: The Table-I instance sets at both scales (map preset -> (units, horizon)).
 TABLE1_PAPER = {
@@ -112,6 +84,8 @@ TABLE1_SMALL = {
 
 
 def _designed(name: str):
+    from .maps import MAP_REGISTRY
+
     if name not in MAP_REGISTRY:
         raise SystemExit(
             f"unknown map {name!r}; available: {', '.join(sorted(MAP_REGISTRY))}"
@@ -125,6 +99,8 @@ def _designed(name: str):
 # ---------------------------------------------------------------------------
 
 def cmd_maps(_: argparse.Namespace) -> int:
+    from .maps import MAP_REGISTRY, PAPER_MAP_STATS
+
     print(f"{'preset':<24s} {'cells':>6s} {'shelves':>8s} {'stations':>9s} {'products':>9s} {'components':>11s}")
     for name in sorted(MAP_REGISTRY):
         designed = _designed(name)
@@ -144,6 +120,9 @@ def cmd_maps(_: argparse.Namespace) -> int:
 
 
 def cmd_show(args: argparse.Namespace) -> int:
+    from .analysis import render_traffic_system
+    from .io import save_map
+
     designed = _designed(args.map)
     print(designed.warehouse.summary())
     print(designed.traffic_system.summary())
@@ -161,6 +140,9 @@ def _solve_preset(args: argparse.Namespace):
     Exits with a clean message on structurally invalid instances (e.g. demand
     exceeding stock); returns ``(designed, workload, solver, solution)``.
     """
+    from .core import SolverOptions, SynthesisOptions, WSPSolver
+    from .warehouse import WarehouseError, Workload, WorkloadError
+
     designed = _designed(args.map)
     options = SolverOptions(synthesis=SynthesisOptions(objective=args.objective))
     solver = WSPSolver(designed.traffic_system, options)
@@ -173,6 +155,9 @@ def _solve_preset(args: argparse.Namespace):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .analysis import compute_plan_metrics
+    from .io import plan_to_dict, save_json
+
     _, workload, _, solution = _solve_preset(args)
     if not solution.succeeded:
         print(f"INFEASIBLE: {solution.message}")
@@ -194,6 +179,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _parse_service_time(spec: str) -> ServiceTimeModel:
     """``"0"`` / ``"uniform:2,6"`` / ``"geometric:4"`` -> a service-time model."""
+    from .experiments import ScenarioError, parse_service_time
+
     try:
         return parse_service_time(spec)
     except ScenarioError as error:
@@ -201,6 +188,23 @@ def _parse_service_time(spec: str) -> ServiceTimeModel:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .analysis import (
+        compute_sim_metrics,
+        render_congestion,
+        render_disruption_timeline,
+        render_edge_heatmap,
+        throughput_gap_report,
+    )
+    from .io import save_json, trace_to_dict
+    from .sim import (
+        DisruptionError,
+        OrderStreamError,
+        RoutingConfig,
+        SimulationConfig,
+        SimulationSetupError,
+        parse_disruptions,
+    )
+
     # `not (x > 0)` also rejects NaN, which `x <= 0` would let through.
     if args.arrival_rate is not None and not args.arrival_rate > 0:
         raise SystemExit(
@@ -267,6 +271,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from .analysis import BenchmarkRow, table1_report
+    from .core import WSPSolver
+    from .warehouse import Workload
+
     table = TABLE1_PAPER if args.paper_scale else TABLE1_SMALL
     rows: List[BenchmarkRow] = []
     for map_name, (workloads, horizon) in table.items():
@@ -300,6 +308,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import compare_sweeps, sweep_report
+    from .experiments import ResultStore, SweepOptions, load_records, preset_scenarios, run_sweep
+
     if args.report and args.compare:
         raise SystemExit("--report and --compare are mutually exclusive")
     if (args.report or args.compare) and args.out:
@@ -413,6 +424,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     from .analysis.optimize import optimize_report
+    from .io import load_json, save_json
     from .obs import EventLog, get_event_log, get_registry
     from .optimize import (
         CachedEvaluator,
@@ -549,18 +561,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         server = ServiceServer(config, quiet=not args.verbose)
     server.start()
-    # The port line is machine-read by the CI smoke job and the tests.
-    print(f"repro service listening on {server.url}", flush=True)
-    print(
-        f"  http_workers={config.http_workers} workers={config.workers} "
-        f"max_pending={config.max_pending} "
-        f"cache={config.cache_capacity}x{config.cache_shards}sh"
-        + (f" store={config.store_path}" if config.store_path else "")
-        + (f" events={config.events_path}" if config.events_path else "")
-        + (f" alerts={len(config.alert_rules)}" if config.alert_rules else ""),
-        flush=True,
-    )
-
     stop_requested = threading.Event()
 
     def request_stop(signum, _frame):
@@ -571,6 +571,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for signum in (signal.SIGINT, signal.SIGTERM):
         previous[signum] = signal.signal(signum, request_stop)
     try:
+        # Announced once the handlers are in: a client may signal as soon as
+        # it reads the port line (machine-read by the CI smoke job and the
+        # tests), and the default action would kill the server undrained.
+        print(f"repro service listening on {server.url}", flush=True)
+        print(
+            f"  http_workers={config.http_workers} workers={config.workers} "
+            f"max_pending={config.max_pending} "
+            f"cache={config.cache_capacity}x{config.cache_shards}sh"
+            + (f" store={config.store_path}" if config.store_path else "")
+            + (f" events={config.events_path}" if config.events_path else "")
+            + (f" alerts={len(config.alert_rules)}" if config.alert_rules else ""),
+            flush=True,
+        )
         # Wait with a timeout: a bare Event.wait() parks the main thread in an
         # uninterruptible lock acquire and the signal handler never runs.
         while not stop_requested.wait(timeout=0.5):
@@ -584,6 +597,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
+    from .analysis.service import loadtest_report as render_loadtest_report
+    from .experiments import preset_scenarios
+    from .io import save_json
     from .obs import AlertError, AlertMonitor, baseline_rule, parse_rules
     from .service import (
         LoadTestOptions,
@@ -741,12 +757,15 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from .analysis.obs import hotspot_report, span_tree_table
+    from .io import save_json
     from .obs import profile_call
 
     if args.top < 1:
         raise SystemExit(f"--top must be at least 1 (got {args.top})")
 
     if args.target == "sweep":
+        from .experiments import preset_scenarios, run_sweep
+
         if args.limit < 0:
             raise SystemExit(f"--limit must be non-negative (got {args.limit})")
         specs = preset_scenarios(args.preset, seed=args.seed)
@@ -758,6 +777,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
             return run_sweep(specs)
 
     else:
+        from .core import SolverOptions, SynthesisOptions, WSPSolver
+        from .sim import DisruptionError, RoutingConfig, SimulationConfig, parse_disruptions
+        from .warehouse import WarehouseError, Workload, WorkloadError
+
         designed = _designed(args.map)
         options = SolverOptions(synthesis=SynthesisOptions(objective=args.objective))
         solver = WSPSolver(designed.traffic_system, options)
@@ -817,6 +840,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .io import load_json, plan_from_dict
+    from .warehouse import PlanValidator
+
     plan = plan_from_dict(load_json(args.plan))
     report = PlanValidator(plan.warehouse).validate(plan)
     print(plan.summary())
@@ -968,8 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize",
         help="closed-loop design search: perturb a scenario, re-simulate, keep if better",
     )
-    from .optimize import OBJECTIVES, OPTIMIZE_PRESETS, OPTIMIZERS
-
     optimize_parser.add_argument(
         "--preset",
         default="slotting-small",

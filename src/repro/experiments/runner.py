@@ -21,6 +21,12 @@ serves cold requests.  Every scenario yields exactly one
 Workers are spawned (not forked) by default so runs are isolated and
 reproducible, and records are appended to the store in scenario order, so a
 sweep's output file is deterministic modulo wall-clock timings.
+
+Importing this module does not load the pipeline: :func:`load_pipeline`
+imports the solver, the core and the simulation runner when a run first
+needs them, and a pool worker calls it while it warms up.  So the processes
+that only describe, cache or serve scenarios (the ``repro serve`` front end,
+its clients, the CLI parser) never load scipy.
 """
 
 from __future__ import annotations
@@ -32,8 +38,11 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..traffic.component import TrafficError
+from ..warehouse import WarehouseError, WorkloadError
 from .scenario import SOLVER_BACKEND, ScenarioError, ScenarioSpec, parse_service_time
 from .store import (
     STATUS_ERROR,
@@ -168,6 +177,29 @@ def _obs_payload(status: str, timings: Dict[str, float]) -> Dict:
     return {"metrics": registry.snapshot()}
 
 
+def load_pipeline() -> SimpleNamespace:
+    """Import the solve→simulate pipeline; returns the pieces a run calls.
+
+    The first call in a process pays for the solver (scipy), the contract
+    algebra, the core and the simulation runner; later calls only look the
+    modules up.  :meth:`~repro.service.pool.ServicePool.warm_up` has every
+    worker call it, so a worker's first cold request does not pay.
+    """
+    from ..core.flow_synthesis import FlowSynthesisError
+    from ..core.pipeline import SolverOptions, SynthesisOptions, WSPSolver
+    from ..sim.runner import SimulationConfig
+    from ..solver import SolveStatus
+
+    return SimpleNamespace(
+        FlowSynthesisError=FlowSynthesisError,
+        SimulationConfig=SimulationConfig,
+        SolveStatus=SolveStatus,
+        SolverOptions=SolverOptions,
+        SynthesisOptions=SynthesisOptions,
+        WSPSolver=WSPSolver,
+    )
+
+
 def execute_scenario(
     document: Dict,
     timeout_seconds: Optional[float] = None,
@@ -181,14 +213,7 @@ def execute_scenario(
     ``collect_obs`` the document carries an extra ``obs`` key (a metrics
     snapshot) for the parent to merge and strip.
     """
-    # Imports deferred so spawned workers only pay for them once per process.
-    from ..core.flow_synthesis import FlowSynthesisError
-    from ..core.pipeline import SolverOptions, SynthesisOptions, WSPSolver
-    from ..sim.runner import SimulationConfig
-    from ..solver import SolveStatus
-    from ..traffic.component import TrafficError
-    from ..warehouse import WarehouseError, WorkloadError
-
+    pipeline = load_pipeline()
     from ..obs import emit_event, event_context, stage
 
     spec = ScenarioSpec.from_dict(document)
@@ -220,25 +245,26 @@ def execute_scenario(
             with stage(timings, "generate", "experiments.generate"):
                 designed, workload = spec.build()
 
-            options = SolverOptions(
-                synthesis=SynthesisOptions(
+            options = pipeline.SolverOptions(
+                synthesis=pipeline.SynthesisOptions(
                     objective=spec.objective,
                     # SIGALRM cannot interrupt the native HiGHS call, so the
                     # time budget is also handed to the ILP backend itself.
                     time_limit=timeout_seconds,
                 )
             )
-            solver = WSPSolver(designed.traffic_system, options)
+            solver = pipeline.WSPSolver(designed.traffic_system, options)
             solution = solver.solve(workload, horizon=spec.horizon)
             timings.update(solution.timings)
             if not solution.succeeded:
-                if solution.synthesis is not None and solution.synthesis.status == SolveStatus.LIMIT:
+                synthesis = solution.synthesis
+                if synthesis is not None and synthesis.status == pipeline.SolveStatus.LIMIT:
                     return record(STATUS_TIMEOUT, solution.message)
                 return record(STATUS_INFEASIBLE, solution.message)
 
             sim: Dict[str, float] = {}
             if spec.simulate:
-                config = SimulationConfig(
+                config = pipeline.SimulationConfig(
                     seed=spec.seed,
                     service_time=parse_service_time(spec.service_time),
                     arrival_rate=spec.arrival_rate,
@@ -260,7 +286,9 @@ def execute_scenario(
             )
     except ScenarioTimeout as error:
         return record(STATUS_TIMEOUT, str(error))
-    except (ScenarioError, WarehouseError, WorkloadError, TrafficError, FlowSynthesisError) as error:
+    except (
+        ScenarioError, WarehouseError, WorkloadError, TrafficError, pipeline.FlowSynthesisError
+    ) as error:
         # A spec naming a retired solver is a tool error, not an infeasible design.
         status = STATUS_INFEASIBLE if spec.backend == SOLVER_BACKEND else STATUS_ERROR
         return record(status, str(error))

@@ -48,6 +48,7 @@ class PoolDraining(PoolSaturated):
 
 
 def _ping() -> str:  # module-level: must be picklable for spawn
+    runner.load_pipeline()
     return "pong"
 
 
@@ -92,7 +93,11 @@ class ServicePool:
 
     # -- lifecycle --------------------------------------------------------------
     def warm_up(self, timeout: Optional[float] = 60.0) -> None:
-        """Eagerly spawn every worker (first-request latency off the hot path)."""
+        """Eagerly spawn every worker and load the pipeline in it.
+
+        Keeps the spawn and the pipeline imports (scipy and the core, which
+        the serving process itself never loads) off the first request's path.
+        """
         pings = [self._executor.submit(_ping) for _ in range(self.workers)]
         for ping in pings:
             ping.result(timeout=timeout)

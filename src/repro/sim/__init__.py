@@ -27,6 +27,12 @@ Typical use, given a solved instance::
     report = solver.simulate(solution)            # or simulate_solution(solution)
     print(report.summary())
     assert report.contracts_ok
+
+Only :mod:`~repro.sim.monitors` and :mod:`~repro.sim.runner` reach the
+contract algebra, the solver and the pipeline core, so the names they export
+resolve on first access (PEP 562): a process that only describes scenarios
+(the ``repro serve`` front end, its HTTP clients, the CLI parser) imports
+this package without loading scipy.  Every other submodule loads eagerly.
 """
 
 from .agents import ExecutionError, PlanExecutor
@@ -54,13 +60,6 @@ from .engine import (
     SimulationEngine,
     SimulationError,
 )
-from .monitors import (
-    ContractMonitor,
-    MonitorError,
-    MonitorReport,
-    MonitorViolation,
-    monitor_from_synthesis,
-)
 from .routing import (
     DEFAULT_LIFELONG_WINDOW,
     ROUTERS,
@@ -73,13 +72,6 @@ from .routing import (
     plan_goal_specs,
     plan_waypoints,
     route_plan,
-)
-from .runner import (
-    SimulationConfig,
-    SimulationReport,
-    SimulationSetupError,
-    simulate_plan,
-    simulate_solution,
 )
 from .stations import (
     ServiceModelError,
@@ -98,6 +90,38 @@ from .workload_gen import (
     PoissonOrderStream,
     product_mix_from_workload,
 )
+
+#: Exported names resolved on first access, and the submodule defining each.
+_LAZY = {
+    "ContractMonitor": "monitors",
+    "MonitorError": "monitors",
+    "MonitorReport": "monitors",
+    "MonitorViolation": "monitors",
+    "monitor_from_synthesis": "monitors",
+    "SimulationConfig": "runner",
+    "SimulationReport": "runner",
+    "SimulationSetupError": "runner",
+    "simulate_plan": "runner",
+    "simulate_solution": "runner",
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY.values():  # the deferred submodules themselves
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    names = set(globals()) - {"_LAZY", "__getattr__", "__dir__"}
+    return sorted(names | set(_LAZY) | set(_LAZY.values()))
+
 
 __all__ = [
     "ContractMonitor",

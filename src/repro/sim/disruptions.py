@@ -39,6 +39,7 @@ rng-free schedules for golden tests and replayable incident analyses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
@@ -454,11 +455,16 @@ class ResilientPlanExecutor:
             _AgentState(pos=int(plan.positions[i, 0]), carry=int(plan.carrying[i, 0]))
             for i in range(plan.num_agents)
         ]
-        #: Plan-step indices at which each agent's carried product changes.
-        self.change_steps: List[np.ndarray] = [
-            np.nonzero(plan.carrying[i, 1:] != plan.carrying[i, :-1])[0]
+        #: Plan-step indices at which each agent's carried product changes
+        #: (ascending, so a search finds the ones left from any step).
+        self.change_steps: List[List[int]] = [
+            np.flatnonzero(plan.carrying[i, 1:] != plan.carrying[i, :-1]).tolist()
             for i in range(plan.num_agents)
         ]
+        #: The plan's cells as Python ints, a row per agent: the tick loop
+        #: reads them one at a time, and numpy scalars are slow to read.
+        self.plan_positions: List[List[VertexId]] = plan.positions.tolist()
+        self.plan_carrying: List[List[ProductId]] = plan.carrying.tolist()
         self.realized_positions = np.empty((plan.num_agents, self.ticks), dtype=np.int64)
         self.realized_carrying = np.empty((plan.num_agents, self.ticks), dtype=np.int64)
         #: Currently blocked edges (filled by the DisruptionProcess).
@@ -518,9 +524,8 @@ class ResilientPlanExecutor:
             return False
         if st.detour or st.extra or self.is_slowed(agent):
             return False
-        remaining = self.change_steps[agent]
-        remaining = remaining[remaining >= st.plan_idx]
-        return not any(int(s) not in st.suppressed for s in remaining)
+        steps = self.change_steps[agent]
+        return all(s in st.suppressed for s in steps[bisect_left(steps, st.plan_idx):])
 
     def _pending_legs(self, donor: int) -> List[Tuple[int, int, VertexId, VertexId, ProductId]]:
         """Transferable (pickup_step, drop_step, shelf, station, product) legs.
@@ -532,23 +537,24 @@ class ResilientPlanExecutor:
         counts, or retention would exceed 1.
         """
         st = self.states[donor]
-        positions = self.plan.positions[donor]
-        carrying = self.plan.carrying[donor]
+        positions = self.plan_positions[donor]
+        carrying = self.plan_carrying[donor]
+        steps = self.change_steps[donor]
+        end = min(self.num_steps, self.ticks - 1)
         legs: List[Tuple[int, int, VertexId, VertexId, ProductId]] = []
         cur = st.carry
         pickup: Optional[Tuple[int, VertexId, ProductId]] = None
-        for s in range(st.plan_idx, min(self.num_steps, self.ticks - 1)):
+        # Only a step where the plan's load changes can start or end a leg.
+        for s in steps[bisect_left(steps, st.plan_idx) : bisect_left(steps, end)]:
             if s in st.suppressed:
                 continue
-            before, after = int(carrying[s]), int(carrying[s + 1])
-            if before == after:
-                continue
+            after = carrying[s + 1]
             if cur == EMPTY_HANDED and after != EMPTY_HANDED:
-                pickup = (s, int(positions[s]), after)
+                pickup = (s, positions[s], after)
                 cur = after
             elif cur != EMPTY_HANDED and after == EMPTY_HANDED:
                 if pickup is not None:
-                    legs.append((pickup[0], s, pickup[1], int(positions[s]), pickup[2]))
+                    legs.append((pickup[0], s, pickup[1], positions[s], pickup[2]))
                     pickup = None
                 cur = EMPTY_HANDED
         return legs
@@ -622,7 +628,7 @@ class ResilientPlanExecutor:
         if st.detour:
             return int(st.detour[0]), "detour"
         if st.plan_idx < self.num_steps:
-            return int(self.plan.positions[agent, st.plan_idx + 1]), "plan"
+            return self.plan_positions[agent][st.plan_idx + 1], "plan"
         if st.extra:
             return int(st.extra[0][0]), "extra"
         return st.pos, "rest"
@@ -637,9 +643,8 @@ class ResilientPlanExecutor:
         pure_motion = True
         if mode == "plan":
             s = st.plan_idx
-            before = int(self.plan.carrying[agent, s])
-            after = int(self.plan.carrying[agent, s + 1])
-            pure_motion = before == after or s in st.suppressed
+            carrying = self.plan_carrying[agent]
+            pure_motion = carrying[s] == carrying[s + 1] or s in st.suppressed
         elif mode == "extra":
             pure_motion = int(st.extra[0][1]) == st.carry
         if (
@@ -802,8 +807,8 @@ class ResilientPlanExecutor:
                 # and drop-off, and the first such step would spuriously
                 # re-pick the product at an arbitrary vertex.
                 s = st.plan_idx
-                planned_before = int(self.plan.carrying[agent, s])
-                planned_after = int(self.plan.carrying[agent, s + 1])
+                carrying = self.plan_carrying[agent]
+                planned_before, planned_after = carrying[s], carrying[s + 1]
                 if s in st.suppressed or planned_before == planned_after:
                     after = before
                 else:

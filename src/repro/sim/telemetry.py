@@ -204,10 +204,12 @@ class TraceRecorder:
         #: Complete periods that fit into the run's ticks - 1 move steps.
         self.periods = max(1, (ticks - 1) // cycle_time) if ticks > 1 else 1
         self.visits = np.zeros(num_vertices, dtype=np.int64)
-        self._transitions: Dict[Tuple[int, int, int], np.ndarray] = {}
-        self._pickups: Dict[Tuple[int, int], np.ndarray] = {}
-        self._handoffs: Dict[Tuple[int, int], np.ndarray] = {}
-        self._served: Dict[Tuple[int, int], np.ndarray] = {}
+        #: Per-period counts as lists of Python ints (one element bumped at a
+        #: time, which numpy scalars make slow); :meth:`build` makes the arrays.
+        self._transitions: Dict[Tuple[int, int, int], List[int]] = {}
+        self._pickups: Dict[Tuple[int, int], List[int]] = {}
+        self._handoffs: Dict[Tuple[int, int], List[int]] = {}
+        self._served: Dict[Tuple[int, int], List[int]] = {}
         #: Agents that entered each component, per complete period (the live
         #: capacity check's query), tallied as transitions are recorded.
         self._entries: Dict[int, Dict[ComponentId, int]] = {}
@@ -239,8 +241,7 @@ class TraceRecorder:
             return None
         counts = table.get(key)
         if counts is None:
-            counts = np.zeros(self.periods, dtype=np.int64)
-            table[key] = counts
+            counts = table[key] = [0] * self.periods
         counts[period] += 1
         return period
 
@@ -391,10 +392,10 @@ class TraceRecorder:
             seed=self.seed,
             periods=self.periods,
             visits=self.visits,
-            transitions=dict(self._transitions),
-            pickups=dict(self._pickups),
-            handoffs=dict(self._handoffs),
-            served=dict(self._served),
+            transitions=_arrays(self._transitions),
+            pickups=_arrays(self._pickups),
+            handoffs=_arrays(self._handoffs),
+            served=_arrays(self._served),
             queue_samples={
                 component: self._queue_series(changes)
                 for component, changes in self._queues.items()
@@ -412,3 +413,8 @@ class TraceRecorder:
             resilience=resilience,
             metadata=dict(metadata or {}),
         )
+
+
+def _arrays(table: Dict[Tuple, List[int]]) -> Dict[Tuple, np.ndarray]:
+    """Per-period count lists as int64 arrays, in the table's key order."""
+    return {key: np.array(counts, dtype=np.int64) for key, counts in table.items()}

@@ -8,22 +8,26 @@ move from ``Ci``'s exit to ``Cj``'s entry).
 
 The class offers the queries the rest of the methodology needs: kind-filtered
 component lists, the longest-component length ``m`` (which fixes the cycle
-time ``tc = 2m``), vertex→component lookup, and a networkx export used by the
-flow decomposition and by reporting.
+time ``tc = 2m``), vertex→component lookup, breadth-first reachability over
+``Gs`` (strong connectivity, shelving-to-station hop counts) and a networkx
+export for analysis; networkx is imported only by that export.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..warehouse.floorplan import FloorplanGraph, VertexId
 from ..warehouse.products import ProductError
 from ..warehouse.warehouse import Warehouse
 from .component import Component, ComponentKind, TrafficError, make_component
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 ComponentId = int
 
@@ -196,22 +200,11 @@ class TrafficSystem:
         queue is delivered ``d`` cycle periods later, so the last useful pickup
         period is ``q_c - d``.
         """
-        graph = self.to_networkx()
         stations = [c.index for c in self.station_queues()]
         if not stations:
             return 0
-        reversed_graph = graph.reverse(copy=False)
-        distances: Dict[ComponentId, int] = {}
-        for station in stations:
-            lengths = nx.single_source_shortest_path_length(reversed_graph, station)
-            for node, distance in lengths.items():
-                if node not in distances or distance < distances[node]:
-                    distances[node] = distance
-        hops = [
-            distances.get(c.index)
-            for c in self.shelving_rows()
-            if distances.get(c.index) is not None
-        ]
+        distances = _hops_from(stations, self._reversed_outlets())
+        hops = [distances[c.index] for c in self.shelving_rows() if c.index in distances]
         return max(hops) if hops else 0
 
     def units_table(self) -> List[List[int]]:
@@ -252,7 +245,17 @@ class TrafficSystem:
                 result.append((source, target))
         return tuple(result)
 
-    def to_networkx(self) -> nx.DiGraph:
+    def _reversed_outlets(self) -> Dict[ComponentId, List[ComponentId]]:
+        """The arcs of ``Gs`` reversed: each component's inlets, read from ``outlets``."""
+        reverse: Dict[ComponentId, List[ComponentId]] = {c.index: [] for c in self.components}
+        for source, targets in self.outlets.items():
+            for target in targets:
+                reverse[target].append(source)
+        return reverse
+
+    def to_networkx(self) -> "nx.DiGraph":
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for component in self.components:
             graph.add_node(
@@ -265,10 +268,13 @@ class TrafficSystem:
         return graph
 
     def is_strongly_connected(self) -> bool:
-        graph = self.to_networkx()
-        if graph.number_of_nodes() <= 1:
+        """Every component reaches every other: one search each way from component 0."""
+        if self.num_components <= 1:
             return True
-        return nx.is_strongly_connected(graph)
+        return (
+            len(_hops_from([0], self.outlets)) == self.num_components
+            and len(_hops_from([0], self._reversed_outlets())) == self.num_components
+        )
 
     def summary(self) -> str:
         return (
@@ -282,3 +288,18 @@ class TrafficSystem:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TrafficSystem({self.summary()})"
+
+
+def _hops_from(
+    sources: Sequence[ComponentId], arcs: Mapping[ComponentId, Sequence[ComponentId]]
+) -> Dict[ComponentId, int]:
+    """Fewest arcs from any of ``sources`` to every component they reach (BFS)."""
+    hops = dict.fromkeys(sources, 0)
+    queue = deque(hops)
+    while queue:
+        node = queue.popleft()
+        for target in arcs.get(node, ()):
+            if target not in hops:
+                hops[target] = hops[node] + 1
+                queue.append(target)
+    return hops

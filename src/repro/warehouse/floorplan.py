@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .grid import Cell, GridMap
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 VertexId = int
 
@@ -213,8 +214,10 @@ class FloorplanGraph:
                     queue.append(neighbor)
         return seen == targets
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self) -> "nx.Graph":
         """Export to a networkx graph (vertex attribute ``cell``; flags for S and R)."""
+        import networkx as nx
+
         graph = nx.Graph()
         for vertex, cell in enumerate(self.cells):
             graph.add_node(

@@ -20,7 +20,11 @@ reproduce byte for byte; the equivalence tests run both and compare:
   service completions and the trace carries each report forward;
 * :func:`attach_monitor` — the live capacity check counting each component's
   entries from the recorder's transition table at every period boundary,
-  where the library tallies them as transitions are recorded.
+  where the library tallies them as transitions are recorded;
+* :func:`pending_legs` and :func:`is_idle` — a broken-down agent's
+  transferable delivery legs and whether a helper has load changes left,
+  found by reading every plan step from the agent's position on, where the
+  resilient executor visits only the steps at which its load changes.
 
 Install the replay oracles into a run with :func:`reference_replay` (a
 context manager patching the runner's import sites).  Nothing here is
@@ -584,6 +588,44 @@ def attach_monitor(monitor, engine, recorder, cycle_time: int) -> None:
                 )
 
     engine.every(cycle_time, check_period, PRIORITY_MONITORS, start=cycle_time)
+
+
+def pending_legs(executor, donor: int) -> List[Tuple[int, int, int, int, int]]:
+    """:meth:`ResilientPlanExecutor._pending_legs`, every plan step in turn."""
+    st = executor.states[donor]
+    positions = executor.plan.positions[donor]
+    carrying = executor.plan.carrying[donor]
+    legs = []
+    cur = st.carry
+    pickup = None
+    for s in range(st.plan_idx, min(executor.num_steps, executor.ticks - 1)):
+        if s in st.suppressed:
+            continue
+        before, after = int(carrying[s]), int(carrying[s + 1])
+        if before == after:
+            continue
+        if cur == EMPTY_HANDED and after != EMPTY_HANDED:
+            pickup = (s, int(positions[s]), after)
+            cur = after
+        elif cur != EMPTY_HANDED and after == EMPTY_HANDED:
+            if pickup is not None:
+                legs.append((pickup[0], s, pickup[1], int(positions[s]), pickup[2]))
+                pickup = None
+            cur = EMPTY_HANDED
+    return legs
+
+
+def is_idle(executor, agent: int) -> bool:
+    """:meth:`ResilientPlanExecutor._is_idle` for an agent that is up, at full
+    speed and off any detour or recovery route: empty-handed, and every load
+    change left in its plan transferred away."""
+    st = executor.states[agent]
+    carrying = executor.plan.carrying[agent]
+    return st.carry == EMPTY_HANDED and all(
+        s in st.suppressed
+        for s in range(st.plan_idx, executor.num_steps)
+        if carrying[s] != carrying[s + 1]
+    )
 
 
 @contextmanager

@@ -10,13 +10,15 @@ matrices, the realization's counts, the validation reports and the
 serialized traces must be identical.
 """
 
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
 import reference_hot_path as reference
-from repro.core import DeliverySchedule, RealizationOptions, realize_cycle_set
+from repro.core import DeliverySchedule, RealizationOptions, WSPSolver, realize_cycle_set
 from repro.core.pipeline import (
     build_delivery_schedule,
     decompose_flow_set,
@@ -32,8 +34,16 @@ from repro.experiments.generator import (
 from repro.io import trace_to_dict
 from repro.maps import MAP_REGISTRY
 from repro.sim import RoutingConfig, ServiceTimeModel, SimulationConfig, simulate_plan
-from repro.sim.disruptions import parse_disruptions
+from repro.sim.disruptions import (
+    DisruptionConfig,
+    ResilienceReport,
+    ResilientPlanExecutor,
+    parse_disruptions,
+)
+from repro.sim.engine import SimulationEngine
+from repro.sim.telemetry import TraceRecorder
 from repro.warehouse import LocationMatrix, Plan, PlanValidator, Workload
+from repro.warehouse.products import EMPTY_HANDED
 
 
 STORM = "breakdown:0.02:12,slowdown:0.02:10,outage:0.01:20,block:0.02:8,surge:0.05:2"
@@ -251,6 +261,48 @@ def test_replay_matches_reference(plans, mode):
     for label, designed, workload, synthesis, realized in chosen:
         ours, theirs = _both(realized.plan, designed, workload, synthesis, REPLAYS[mode])
         assert ours == theirs, label
+
+
+def test_pending_legs_match_reference():
+    """A breakdown hands the donor's future legs to idle agents.  The legs and
+    the idle verdicts found from the agents' load-change steps must equal the
+    per-step walk's on the twin's three plans: for every agent, from several
+    plan steps, loaded and empty-handed, with random steps already
+    transferred away, in full and truncated runs."""
+    rng = random.Random(0)
+    checked = 0
+    for spec in routing_scale_suite(0)[:3]:
+        designed, workload = spec.build()
+        system = designed.traffic_system
+        plan = WSPSolver(system).solve(workload, horizon=spec.horizon).plan
+        for max_ticks in (None, plan.horizon // 2):
+            executor = ResilientPlanExecutor(
+                SimulationEngine(),
+                plan,
+                system,
+                TraceRecorder(system.floorplan.num_vertices, plan.num_agents, 1, plan.horizon),
+                {},
+                {},
+                DisruptionConfig(),
+                ResilienceReport(),
+                max_ticks=max_ticks,
+            )
+            for agent, state in enumerate(executor.states):
+                steps = executor.change_steps[agent]
+                starts = {0, 1, plan.horizon // 3, plan.horizon - 2}
+                starts.update(rng.sample(steps, min(3, len(steps))))
+                for start, carry, suppressed in itertools.product(
+                    sorted(starts),
+                    (int(plan.carrying[agent, 0]), EMPTY_HANDED),
+                    (set(), set(steps[::2]), set(rng.sample(steps, len(steps) // 3))),
+                ):
+                    state.plan_idx, state.carry = start, carry
+                    state.suppressed = suppressed | {rng.randrange(plan.horizon) for _ in range(3)}
+                    legs = executor._pending_legs(agent)
+                    assert legs == reference.pending_legs(executor, agent), spec.label
+                    assert executor._is_idle(agent) == reference.is_idle(executor, agent)
+                    checked += bool(legs)
+    assert checked > 100
 
 
 def test_routed_replay_matches_reference(plans):

@@ -472,3 +472,43 @@ class TestSigintSubprocess:
             if process.poll() is None:  # pragma: no cover - cleanup on failure
                 process.kill()
                 process.wait(timeout=30)
+
+    def test_sigterm_at_the_announcement_drains(self):
+        """A client may signal as soon as it reads the listening line.  The
+        server signals itself from inside that print: it must still drain and
+        exit 0, not die by the default action and orphan its pool worker."""
+        repo_src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{repo_src}:{env.get('PYTHONPATH', '')}".rstrip(":")
+        code = (
+            "import builtins, os, signal, sys\n"
+            "from repro.cli import main\n"
+            "announce = builtins.print\n"
+            "def signalling_print(*args, **kwargs):\n"
+            "    announce(*args, **kwargs)\n"
+            "    if str(args[0] if args else '').startswith('repro service listening on '):\n"
+            "        os.kill(os.getpid(), signal.SIGTERM)\n"
+            "builtins.print = signalling_print\n"
+            "sys.exit(main(['serve', '--port', '0', '--workers', '1']))\n"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            returncode = process.wait(timeout=120)
+        finally:
+            # Whatever the server left behind (an orphaned worker holds the
+            # output pipe open) goes with its session.
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        output = process.stdout.read()
+        process.stdout.close()
+        assert returncode == 0, output
+        assert "signal SIGTERM: draining" in output and "service stopped" in output

@@ -1,8 +1,10 @@
 """Tests for the traffic system, its graph, validation and design helpers."""
 
+import networkx as nx
 import pytest
 
-from repro.maps import TOY_LAYOUT, generate_fulfillment_center, toy_warehouse
+from repro.experiments.generator import mix_suite, routing_scale_suite, scaling_suite, smoke_suite
+from repro.maps import MAP_REGISTRY, TOY_LAYOUT, generate_fulfillment_center, toy_warehouse
 from repro.traffic import (
     ComponentKind,
     TrafficError,
@@ -229,3 +231,62 @@ class TestDesignHelpers:
         ]
         system = build_traffic_system(warehouse, paths, connections=None, validate_rules=False)
         assert system.num_components == designed.traffic_system.num_components
+
+
+def _networkx_answers(system):
+    """``(is_strongly_connected, max_shelving_to_station_hops)`` computed by
+    networkx on the exported graph."""
+    graph = system.to_networkx()
+    connected = graph.number_of_nodes() <= 1 or nx.is_strongly_connected(graph)
+    reverse = graph.reverse(copy=False)
+    distances = {}
+    for station in system.station_queues():
+        for node, hops in nx.single_source_shortest_path_length(reverse, station.index).items():
+            distances[node] = min(hops, distances.get(node, hops))
+    reached = [distances[c.index] for c in system.shelving_rows() if c.index in distances]
+    return connected, max(reached, default=0)
+
+
+def _registry_systems():
+    for name in sorted(MAP_REGISTRY):
+        designed = MAP_REGISTRY[name]()
+        yield name, getattr(designed, "designed", designed).traffic_system
+
+
+class TestGraphSearches:
+    """The breadth-first graph queries agree with networkx."""
+
+    def test_registry_maps(self):
+        for name, system in _registry_systems():
+            answers = (system.is_strongly_connected(), system.max_shelving_to_station_hops())
+            assert answers == _networkx_answers(system), name
+
+    def test_preset_suites(self):
+        for suite in (smoke_suite, scaling_suite, mix_suite, routing_scale_suite):
+            for spec in suite(0):
+                system = spec.build()[0].traffic_system
+                answers = (system.is_strongly_connected(), system.max_shelving_to_station_hops())
+                assert answers == _networkx_answers(system), spec.label
+
+    def test_one_outlet_removed(self):
+        """Every single-arc deletion on every registry map: each cuts the
+        system apart, and some lengthen the way to a station."""
+        disconnected = lengthened = 0
+        for name, system in _registry_systems():
+            hops = system.max_shelving_to_station_hops()
+            for arc in system.edges():
+                cut = TrafficSystem(
+                    warehouse=system.warehouse,
+                    components=system.components,
+                    outlets={
+                        source: tuple(t for t in targets if (source, t) != arc)
+                        for source, targets in system.outlets.items()
+                    },
+                    name=system.name,
+                )
+                answers = (cut.is_strongly_connected(), cut.max_shelving_to_station_hops())
+                assert answers == _networkx_answers(cut), (name, arc)
+                disconnected += not answers[0]
+                lengthened += answers[1] > hops
+        assert disconnected > 0 and lengthened > 0
+
