@@ -173,10 +173,14 @@ class SweepComparison:
     result_changes: List[str] = field(default_factory=list)
     missing_scenarios: List[str] = field(default_factory=list)
     new_scenarios: List[str] = field(default_factory=list)
+    #: Matched scenarios whose records come from different output epochs, as
+    #: ``"epoch A -> B: N scenario(s)"``; their outputs may differ by design.
+    epoch_changes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """No regressions (new/missing scenarios and fixes are informational)."""
+        """No regressions (new/missing scenarios, fixes and epoch changes are
+        informational)."""
         return not (
             self.status_regressions or self.runtime_regressions or self.result_changes
         )
@@ -187,6 +191,7 @@ class SweepComparison:
             + ("no regressions" if self.ok else "REGRESSIONS FOUND")
         ]
         for title, entries in (
+            ("output epoch changed", self.epoch_changes),
             ("status regressions", self.status_regressions),
             ("runtime regressions", self.runtime_regressions),
             ("result changes", self.result_changes),
@@ -214,12 +219,15 @@ def compare_sweeps(
     ``runtime_factor × baseline`` (ignored below ``min_seconds``, where timer
     noise dominates); a *result change* is a matched successful run whose
     deterministic outcome (agents, delivered units, contract verdict) moved.
+    Records from different output epochs are counted apart, in
+    ``epoch_changes``: a new epoch may change plans and traces by design.
     """
     if runtime_factor <= 0:
         raise ValueError("runtime_factor must be positive")
     base_by_id = {record.scenario_id: record for record in baseline}
     cand_by_id = {record.scenario_id: record for record in candidate}
     comparison = SweepComparison()
+    epochs: Dict[Tuple[int, int], int] = {}
 
     for scenario_id, base in base_by_id.items():
         cand = cand_by_id.get(scenario_id)
@@ -228,6 +236,8 @@ def compare_sweeps(
             comparison.missing_scenarios.append(label)
             continue
         comparison.matched += 1
+        if base.epoch != cand.epoch:
+            epochs[(base.epoch, cand.epoch)] = epochs.get((base.epoch, cand.epoch), 0) + 1
         if base.ok and not cand.ok:
             detail = f" ({cand.message})" if cand.message else ""
             comparison.status_regressions.append(f"{label}: ok -> {cand.status}{detail}")
@@ -268,4 +278,8 @@ def compare_sweeps(
     for scenario_id, cand in cand_by_id.items():
         if scenario_id not in base_by_id:
             comparison.new_scenarios.append(cand.spec.label)
+    comparison.epoch_changes = [
+        f"epoch {old} -> {new}: {count} scenario(s)"
+        for (old, new), count in sorted(epochs.items())
+    ]
     return comparison

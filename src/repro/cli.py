@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from . import __version__
 from .experiments import PRESET_SUITES
 from .optimize import OBJECTIVES, OPTIMIZE_PRESETS, OPTIMIZERS
-from .sim.routing import ROUTERS
+from .sim.routers import ROUTERS
 
 if TYPE_CHECKING:
     from .sim.stations import ServiceTimeModel

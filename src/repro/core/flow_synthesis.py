@@ -354,11 +354,45 @@ def _build_model(
                 f"workload[{product}]",
             )
         )
+    for row in _rounding_cuts(pool, workload, effective):
+        model.add_constraint(row)
     if objective == "min_agents":
         model.set_objective(pool.total_agents(), sense="min")
     elif objective == "min_carrying":
         model.set_objective(pool.total_loaded_flow(), sense="min")
     return model
+
+
+def _rounding_cuts(pool: FlowVariablePool, workload: Workload, effective: int):
+    """Chvátal–Gomory rounding cuts ``Σ_{r∈R_k} pickups[r] ≥ ⌈w_k / effective⌉``.
+
+    ``R_k`` is the set of rows stocking product ``k``.  ``pickup-mix`` and
+    ``fin ≥ 0`` give ``Σ_{R_k} pickups ≥ d_k`` and the pickups are integers,
+    so no integer solution is cut off (DESIGN.md §3).  The rows are emitted
+    only when ``⌈K/m⌉ > Σ_k d_k`` — ``K`` stocked requested products, at most
+    ``m`` of them in one row — i.e. when every integer plan must pick up at
+    more rows than the LP relaxation pays for; elsewhere they only slow HiGHS.
+    """
+    rows_of: Dict[ProductId, List] = {}
+    for index, rates in pool.row_pickups.items():
+        for product in rates:
+            rows_of.setdefault(product, []).append(pool.total_pickup_vars[index])
+    if not rows_of:
+        return []
+    widest = max(len(rates) for rates in pool.row_pickups.values())
+    requested = workload.requested_products()
+    total = sum(workload.demand(product) for product in requested)
+    if -(-len(rows_of) // widest) * effective <= total:
+        return []
+    return [
+        linear_row(
+            dict.fromkeys(rows_of.get(product, ()), 1.0),
+            GE,
+            -(-workload.demand(product) // effective),
+            f"pickup-rounding[{product}]",
+        )
+        for product in requested
+    ]
 
 
 def _extract_flow_set(

@@ -41,6 +41,7 @@ from .scenario import (
     parse_service_time,
 )
 from .store import (
+    OUTPUT_EPOCH,
     RUN_STATUSES,
     STATUS_ERROR,
     STATUS_INFEASIBLE,
@@ -52,6 +53,7 @@ from .store import (
 )
 
 __all__ = [
+    "OUTPUT_EPOCH",
     "PRESET_SUITES",
     "RUN_STATUSES",
     "SCENARIO_KINDS",

@@ -28,7 +28,7 @@ import numpy as np
 from ..maps.fulfillment import DesignedWarehouse, FulfillmentLayout, generate_fulfillment_center
 from ..maps.sorting import SortingLayout, generate_sorting_center
 from ..sim.disruptions import DisruptionError, parse_disruptions
-from ..sim.routing import ROUTERS
+from ..sim.routers import ROUTERS
 from ..sim.stations import ServiceTimeModel
 from ..warehouse import WarehouseError, Workload
 

@@ -11,6 +11,10 @@ and regression comparison.
 Wall-clock ``timings`` are reporting-only: :meth:`RunRecord.fingerprint`
 excludes them, and is the payload two runs of the same seeded scenario must
 reproduce bit for bit.
+
+Every record carries the :data:`OUTPUT_EPOCH` of the code that computed it.
+The ``scenario_id`` hashes the spec, not the code, so the epoch is what tells
+a record of today's pipeline from one an older pipeline wrote for the same id.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ STATUS_TIMEOUT = "timeout"
 STATUS_ERROR = "error"
 RUN_STATUSES = (STATUS_OK, STATUS_INFEASIBLE, STATUS_TIMEOUT, STATUS_ERROR)
 
+#: The generation of the pipeline's outputs.  A change that makes a spec yield
+#: another plan, trace or record bumps it and regenerates
+#: ``tests/output_digests.json``; the result cache serves no record of another
+#: epoch.  A stored record without one is from epoch 0.
+OUTPUT_EPOCH = 1
+
 
 @dataclass
 class RunRecord:
@@ -56,6 +66,8 @@ class RunRecord:
     #: units_served, realized/synthesized throughput, throughput_ratio,
     #: orders created/served, contract_violations, contracts_ok.
     sim: Dict[str, float] = field(default_factory=dict)
+    #: The :data:`OUTPUT_EPOCH` of the code that computed the record.
+    epoch: int = OUTPUT_EPOCH
 
     def __post_init__(self) -> None:
         if self.status not in RUN_STATUSES:

@@ -308,6 +308,7 @@ def run_record_to_dict(record) -> Dict:
     return {
         "schema": "experiment-run",
         "version": SCHEMA_VERSION,
+        "epoch": int(record.epoch),
         "scenario": scenario_to_dict(record.spec),
         "scenario_id": record.scenario_id,
         "status": record.status,
@@ -342,6 +343,8 @@ def run_record_from_dict(document: Dict):
         plan_feasible=document.get("plan_feasible"),
         workload_serviced=document.get("workload_serviced"),
         sim={k: float(v) for k, v in document.get("sim", {}).items()},
+        # Records written before output epochs existed are from epoch 0.
+        epoch=int(document.get("epoch", 0)),
     )
 
 

@@ -23,8 +23,10 @@ the total capacity); aggregate stats are the sum over shards, and
 :meth:`snapshot` reports both.
 
 Only *deterministic* outcomes are cached (``ok`` and ``infeasible`` — both
-are pure functions of the spec).  Timeouts and crashes are never cached: a
-retry deserves a fresh attempt.
+are pure functions of the spec), and only those of the running code's
+:data:`~repro.experiments.store.OUTPUT_EPOCH`: a store written by an older
+pipeline keeps its lines, but a lookup treats them as misses and recomputes.
+Timeouts and crashes are never cached: a retry deserves a fresh attempt.
 
 Single-flight: when several concurrent requests miss on the same id, exactly
 one (the *leader*) computes while the rest wait on the flight's event and
@@ -42,7 +44,13 @@ import zlib
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..experiments.store import STATUS_INFEASIBLE, STATUS_OK, ResultStore, RunRecord
+from ..experiments.store import (
+    OUTPUT_EPOCH,
+    STATUS_INFEASIBLE,
+    STATUS_OK,
+    ResultStore,
+    RunRecord,
+)
 
 #: Run statuses worth caching (deterministic functions of the scenario).
 CACHEABLE_STATUSES = (STATUS_OK, STATUS_INFEASIBLE)
@@ -51,6 +59,11 @@ CACHEABLE_STATUSES = (STATUS_OK, STATUS_INFEASIBLE)
 SHARD_PREFIX = 8
 
 _STAT_KEYS = ("hits_memory", "hits_store", "misses", "coalesced", "puts")
+
+
+def _cacheable(record: RunRecord) -> bool:
+    """A deterministic outcome computed by this code's output epoch."""
+    return record.status in CACHEABLE_STATUSES and record.epoch == OUTPUT_EPOCH
 
 
 class Flight:
@@ -133,7 +146,7 @@ class ResultCache:
     @staticmethod
     def _latest_cacheable(records) -> Optional[RunRecord]:
         for record in reversed(records):
-            if record.status in CACHEABLE_STATUSES:
+            if _cacheable(record):
                 return record
         return None
 
@@ -195,14 +208,14 @@ class ResultCache:
 
     def complete(self, scenario_id: str, flight: Flight, record: RunRecord) -> None:
         """Leader hand-off: publish the record, cache it, release followers."""
-        cacheable = record.status in CACHEABLE_STATUSES
+        keep = _cacheable(record)
         shard = self._shard(scenario_id)
         with shard.lock:
-            if cacheable:
+            if keep:
                 shard.remember(scenario_id, record)
                 shard.stats["puts"] += 1
             shard.flights.pop(scenario_id, None)
-        if cacheable and self.store is not None:
+        if keep and self.store is not None:
             # Persist outside the shard lock: the append takes a blocking
             # flock on the JSONL file, and a slow (or contended) write must
             # not stall every concurrent warm lookup behind it.

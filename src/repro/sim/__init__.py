@@ -29,10 +29,12 @@ Typical use, given a solved instance::
     assert report.contracts_ok
 
 Only :mod:`~repro.sim.monitors` and :mod:`~repro.sim.runner` reach the
-contract algebra, the solver and the pipeline core, so the names they export
-resolve on first access (PEP 562): a process that only describes scenarios
-(the ``repro serve`` front end, its HTTP clients, the CLI parser) imports
-this package without loading scipy.  Every other submodule loads eagerly.
+contract algebra, the solver and the pipeline core, and only
+:mod:`~repro.sim.routing` reaches the MAPF solvers, so the names these three
+export resolve on first access (PEP 562): a process that only describes
+scenarios (the ``repro serve`` front end, its HTTP clients, the CLI parser)
+imports this package without loading scipy or :mod:`repro.mapf`.  Every other
+submodule loads eagerly; :data:`ROUTERS` comes from :mod:`~repro.sim.routers`.
 """
 
 from .agents import ExecutionError, PlanExecutor
@@ -60,19 +62,7 @@ from .engine import (
     SimulationEngine,
     SimulationError,
 )
-from .routing import (
-    DEFAULT_LIFELONG_WINDOW,
-    ROUTERS,
-    RoutingConfig,
-    RoutingError,
-    RoutingReport,
-    edge_load_by_vertex,
-    edge_traversal_counts,
-    free_flow_cost,
-    plan_goal_specs,
-    plan_waypoints,
-    route_plan,
-)
+from .routers import ROUTERS
 from .stations import (
     ServiceModelError,
     ServiceTimeModel,
@@ -103,6 +93,16 @@ _LAZY = {
     "SimulationSetupError": "runner",
     "simulate_plan": "runner",
     "simulate_solution": "runner",
+    "DEFAULT_LIFELONG_WINDOW": "routing",
+    "RoutingConfig": "routing",
+    "RoutingError": "routing",
+    "RoutingReport": "routing",
+    "edge_load_by_vertex": "routing",
+    "edge_traversal_counts": "routing",
+    "free_flow_cost": "routing",
+    "plan_goal_specs": "routing",
+    "plan_waypoints": "routing",
+    "route_plan": "routing",
 }
 
 

@@ -57,9 +57,7 @@ from ..mapf.problem import find_conflicts
 from ..warehouse.floorplan import FloorplanGraph, VertexId
 from ..warehouse.plan import Plan, may_collide
 from ..warehouse.products import ProductId
-
-#: Execution modes: ``abstract`` replays the plan, the rest route on the grid.
-ROUTERS = ("abstract", "prioritized", "cbs", "ecbs", "lifelong")
+from .routers import ROUTERS
 
 #: Per-episode MAPF engine used for each grid router.
 ROUTER_ENGINES = {

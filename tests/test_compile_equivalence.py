@@ -7,7 +7,14 @@ compile built from ``LinearExpr`` operators and a per-vertex UNITSAT sum.
 Instance by instance (compile only, no solve), the two must agree on every
 constraint's name, sense, constant and coefficient items in insertion order,
 on each contract's variable order, and on the sparse arrays handed to HiGHS.
+
+The oracle's model has no rounding cuts: the synthesized model must repeat
+its rows exactly and then append the ``pickup-rounding`` rows that
+:func:`_expected_cuts` derives here from the per-vertex UNITSAT sum.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +27,7 @@ from repro.core.flow_synthesis import _build_model
 from repro.core.workload_contract import workload_contract
 from repro.experiments.generator import mix_suite, scaling_suite, smoke_suite
 from repro.maps import MAP_REGISTRY, toy_warehouse
+from repro.solver import LinearExpr
 from repro.solver.scipy_backend import _build_sparse
 from repro.warehouse import ProductError, Workload
 
@@ -65,6 +73,33 @@ def _compile(system, workload, horizon, objective):
     return pool, num_periods, fast, oracle
 
 
+def _expected_cuts(system, pool, workload, effective):
+    """The ``pickup-rounding[k]`` rows: Σ_{r∈R_k} pickups[r] ≥ ⌈w_k / effective⌉.
+
+    ``R_k`` is the set of shelving rows with UNITSAT > 0 for ``k``.  The rows
+    exist only when ⌈K/m⌉ > Σ_k w_k / effective, with ``K`` the requested
+    products some row stocks and ``m`` the most of them one row stocks.
+    """
+    products = workload.requested_products()
+    rows = [row.index for row in system.shelving_rows()]
+    stocked = {
+        row: [k for k in products if reference.units_at(system, row, k) > 0] for row in rows
+    }
+    rows_of = {k: [row for row in rows if k in stocked[row]] for k in products}
+    count = sum(1 for k in products if rows_of[k])
+    widest = max((len(kinds) for kinds in stocked.values()), default=0)
+    demand = Fraction(sum(workload.demand(k) for k in products), effective)
+    if count == 0 or math.ceil(Fraction(count, widest)) <= demand:
+        return []
+    return [
+        (
+            LinearExpr.sum(pool.total_pickup(row) for row in rows_of[k])
+            >= math.ceil(Fraction(workload.demand(k), effective))
+        ).named(f"pickup-rounding[{k}]")
+        for k in products
+    ]
+
+
 def _rows(constraints):
     return [
         (c.name, c.sense, c.expr.constant, list(c.expr.coeffs.items())) for c in constraints
@@ -95,6 +130,7 @@ def _assert_same_arrays(model, expected):
 
 
 def _check_instance(system, workload, horizon, objective):
+    """Compare both compiles; returns the expected rounding cuts."""
     pool, num_periods, fast, oracle = _compile(system, workload, horizon, objective)
     stocked = [
         (row.index, product)
@@ -109,9 +145,15 @@ def _check_instance(system, workload, horizon, objective):
     for contract, component in zip(component_contracts(pool, num_periods), system.components):
         _assert_same_contract(contract, reference.component_contract(pool, component, num_periods))
     assert model.variables == model_ref.variables
-    assert _rows(model.constraints) == _rows(model_ref.constraints)
+    compiled = model_ref.num_constraints
+    assert _rows(model.constraints[:compiled]) == _rows(model_ref.constraints)
+    warmup = SynthesisOptions(objective=objective).resolve_warmup(system, num_periods)
+    cuts = _expected_cuts(system, pool, workload, num_periods - warmup)
+    assert _rows(model.constraints[compiled:]) == _rows(cuts)
     assert list(model.objective.coeffs.items()) == list(model_ref.objective.coeffs.items())
+    model_ref.add_constraints(cuts)
     _assert_same_arrays(model, model_ref)
+    return cuts
 
 
 @pytest.mark.parametrize(
@@ -130,6 +172,23 @@ def test_suite_scenarios_compile_identically(label):
     spec = SUITE_SPECS[label]
     designed, workload = spec.build()
     _check_instance(designed.traffic_system, workload, spec.horizon, spec.objective)
+
+
+@pytest.mark.parametrize("units", (550, 825, 1100))
+def test_fulfillment_1_gets_no_rounding_cuts(units):
+    """A Fulfillment-1 row stocks up to 28 of its 55 products, so ⌈K/m⌉ = 2
+    is below Σ_k d_k (7.5–15): its model is the uncut oracle's, array for
+    array."""
+    designed = _designed("fulfillment-1")
+    workload = Workload.uniform(designed.warehouse.catalog, units)
+    assert _check_instance(designed.traffic_system, workload, 3600, "min_agents") == []
+
+
+def test_fulfillment_2_gets_one_cut_per_product():
+    designed = _designed("fulfillment-2")
+    workload = Workload.uniform(designed.warehouse.catalog, 1320)
+    cuts = _check_instance(designed.traffic_system, workload, 3600, "min_agents")
+    assert len(cuts) == len(workload.requested_products())
 
 
 @pytest.mark.parametrize("map_name", sorted(MAP_REGISTRY))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import (
+    OUTPUT_EPOCH,
     PRESET_SUITES,
     STATUS_ERROR,
     ResultStore,
@@ -226,6 +227,14 @@ class TestRunRecord:
         slower = _record(timings={"synthesis": 99.0})
         assert record.fingerprint() == slower.fingerprint()
         assert record.fingerprint() != _record(num_agents=5).fingerprint()
+
+    def test_records_carry_the_output_epoch(self):
+        document = run_record_to_dict(_record())
+        assert document["epoch"] == OUTPUT_EPOCH == _record().epoch
+        # A line written before output epochs existed is from epoch 0.
+        del document["epoch"]
+        assert run_record_from_dict(document).epoch == 0
+        assert _record(epoch=0).fingerprint() != _record().fingerprint()
 
     def test_stale_scenario_id_is_recomputed_not_fatal(self):
         # Old result files whose stored id predates a ScenarioSpec schema

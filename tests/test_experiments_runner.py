@@ -226,6 +226,14 @@ class TestComparison:
         assert not flipped.ok
         assert flipped.result_changes == ["infeasible: error -> timeout"]
 
+    def test_epoch_change_is_reported_apart_from_regressions(self, tiny_records):
+        older = [replace(r, epoch=0) for r in tiny_records]
+        comparison = compare_sweeps(older, tiny_records)
+        assert comparison.ok
+        assert comparison.epoch_changes == [f"epoch 0 -> {tiny_records[0].epoch}: 3 scenario(s)"]
+        assert "output epoch changed" in comparison.summary()
+        assert compare_sweeps(tiny_records, tiny_records).epoch_changes == []
+
     def test_missing_and_new_scenarios(self, tiny_records):
         comparison = compare_sweeps(tiny_records, tiny_records[1:])
         assert comparison.ok  # informational only

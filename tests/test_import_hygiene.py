@@ -1,11 +1,12 @@
 """Each process imports only what it runs.
 
 The ``repro serve`` front end, its HTTP clients and the CLI parser describe,
-cache and ship scenarios; they never solve one, so they must not load the
-solver, the contract algebra, the simulation runner, the analysis stack or
-networkx.  A pool worker, which does solve, loads the pipeline while it
-warms up.  Every check runs in a fresh interpreter with ``PYTHONPATH=src``:
-the test process itself has long since imported everything.
+cache and ship scenarios; they never solve or route one, so they must not
+load the solver, the contract algebra, the simulation runner, the MAPF
+solvers, the analysis stack or networkx.  A pool worker, which does solve,
+loads the pipeline while it warms up.  Every check runs in a fresh
+interpreter with ``PYTHONPATH=src``: the test process itself has long since
+imported everything.
 
 This module imports only the standard library, so a spawned pool worker can
 import it to run :func:`loaded` without loading anything else.
@@ -28,6 +29,8 @@ PIPELINE = (
     "repro.solver",
     "repro.sim.runner",
     "repro.sim.monitors",
+    "repro.sim.routing",
+    "repro.mapf",
     "repro.analysis",
 )
 
@@ -88,7 +91,7 @@ import json
 import repro.sim as sim
 before = dir(sim)
 names = {name: getattr(sim, name) for name in sim.__all__}
-from repro.sim import monitors, runner
+from repro.sim import monitors, routing, runner
 try:
     sim.no_such_name
     unknown = "resolved"
@@ -98,7 +101,9 @@ print(json.dumps({
     "unlisted": [name for name in sim.__all__ if name not in before],
     "dir_stable": dir(sim) == before,
     "same_objects": names["SimulationConfig"] is runner.SimulationConfig
-    and names["ContractMonitor"] is monitors.ContractMonitor,
+    and names["ContractMonitor"] is monitors.ContractMonitor
+    and names["RoutingConfig"] is routing.RoutingConfig
+    and names["ROUTERS"] is routing.ROUTERS,
     "unknown": unknown,
 }))
 """

@@ -7,6 +7,7 @@ interleavings are forced rather than raced.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from concurrent.futures import Future
@@ -22,6 +23,7 @@ from repro.experiments import (
     ResultStore,
     RunRecord,
     ScenarioSpec,
+    load_records,
 )
 from repro.service import (
     PoolSaturated,
@@ -144,6 +146,20 @@ class TestResultCache:
         assert record is not None and tier == "store"
         assert cache.stats["hits_store"] == 1
 
+    def test_records_of_another_epoch_are_misses(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        document = record_for(TINY).to_dict()
+        del document["epoch"]  # written before output epochs existed
+        path.write_text(json.dumps(document) + "\n")
+        cache = ResultCache(capacity=4, store=ResultStore(path))
+        assert len(cache) == 0
+        assert cache.get(TINY.scenario_id) == (None, "miss")
+        # A current record for the id supersedes the stale line, which stays.
+        flight, _ = cache.lease(TINY.scenario_id)
+        cache.complete(TINY.scenario_id, flight, record_for(TINY))
+        assert [r.epoch for r in load_records(path)] == [0, record_for(TINY).epoch]
+        assert ResultCache(capacity=4, store=ResultStore(path)).get(TINY.scenario_id)[1] == "hit"
+
 
 # ---------------------------------------------------------------------------
 # ServicePool (admission control only; compute goes through real spawn
@@ -252,6 +268,26 @@ class TestSolveService:
         hit = service.resolve(ServiceRequest(scenario=TINY))
         assert hit.state == STATUS_OK and hit.cache == "hit"
         assert service.pool.stats["submitted"] == 1
+
+    def test_record_of_another_epoch_is_recomputed_not_served(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ResultStore(path).append(record_for(TINY, num_agents=99, epoch=0))
+        svc = SolveService(
+            ServiceConfig(
+                workers=1, warm_up=False, coalesce_wait_seconds=30.0, store_path=str(path)
+            )
+        )
+        svc.pool = FakePool()
+        worker = threading.Thread(
+            target=lambda: setattr(svc, "_last", svc.resolve(ServiceRequest(scenario=TINY)))
+        )
+        worker.start()
+        complete_next(svc, TINY)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert svc._last.cache == "miss" and svc._last.record["num_agents"] == 0
+        assert svc.pool.stats["submitted"] == 1
+        assert [r.num_agents for r in load_records(path)] == [99, 0]
 
     def test_fresh_bypasses_cache_but_updates_it(self, service):
         first = threading.Thread(
