@@ -16,7 +16,12 @@ import pytest
 
 from repro.core import WSPSolver
 from repro.maps import fulfillment_center_1_small
-from repro.mapf import IteratedPlanner, IteratedPlannerOptions, goal_sequences_from_plan
+from repro.mapf import (
+    STATUS_TIME_LIMIT,
+    IteratedPlanner,
+    IteratedPlannerOptions,
+    goal_sequences_from_plan,
+)
 from repro.warehouse import Workload
 
 #: Team-size prefixes handed to the baseline and its per-run time limit (s).
@@ -77,12 +82,14 @@ def test_baseline_scaling_is_superlinear(benchmark, codesign_solution):
 
     Measured as: the per-agent runtime of the ECBS baseline on the largest
     prefix is at least twice the per-agent runtime on the smallest prefix, or
-    the largest prefix fails to finish within its budget at all.
+    the largest prefix runs out of its time budget while the smallest one
+    finishes in a tenth of it.
     """
     designed, solution = codesign_solution
     tasks = goal_sequences_from_plan(solution.plan, max_goals_per_agent=GOALS_PER_AGENT)
     runtimes = {}
     completed = {}
+    statuses = {}
 
     def sweep():
         for team_size in (TEAM_PREFIXES[0], TEAM_PREFIXES[-1]):
@@ -93,17 +100,24 @@ def test_baseline_scaling_is_superlinear(benchmark, codesign_solution):
             result = planner.solve(tasks[:team_size])
             runtimes[team_size] = result.runtime_seconds
             completed[team_size] = result.completed
+            statuses[team_size] = result.status
         return runtimes
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     small, large = TEAM_PREFIXES[0], TEAM_PREFIXES[-1]
     benchmark.extra_info["runtimes"] = {str(k): round(v, 3) for k, v in runtimes.items()}
     benchmark.extra_info["completed"] = {str(k): v for k, v in completed.items()}
+    benchmark.extra_info["status"] = {str(k): v for k, v in statuses.items()}
     if completed[large]:
         per_agent_small = runtimes[small] / small
         per_agent_large = runtimes[large] / large
         assert per_agent_large >= 2 * per_agent_small
     else:
         # Failing to finish the large prefix inside the budget *is* the paper's
-        # observed outcome at full scale.
-        assert not completed[large]
+        # observed outcome at full scale, provided the budget is what ended
+        # it: a stall or the episode cap would be our planner's failure, not
+        # the problem's.  The small prefix shows the budget is ample for a
+        # small team.
+        assert completed[small]
+        assert runtimes[small] < BASELINE_TIME_LIMIT / 10
+        assert statuses[large] == STATUS_TIME_LIMIT

@@ -17,7 +17,7 @@ from .astar import (
 from .cbs import CBSOptions, solve_cbs
 from .constraints import Constraint, ConstraintSet, ReservationTable
 from .ecbs import ECBSOptions, solve_ecbs
-from .heuristics import DistanceTables, agent_table, distance_tables
+from .heuristics import DistanceTables, agent_row, distance_tables
 from .mapd import (
     ENGINES,
     STATUS_COMPLETED,
@@ -67,7 +67,7 @@ __all__ = [
     "STATUS_STALLED",
     "STATUS_TIME_LIMIT",
     "SearchStats",
-    "agent_table",
+    "agent_row",
     "count_conflicts",
     "count_path_conflicts",
     "distance_tables",

@@ -39,12 +39,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..warehouse.floorplan import FloorplanGraph, VertexId
-from .constraints import ConstraintSet, ReservationTable
-from .heuristics import distance_tables, heuristic_array
+from .constraints import (
+    _INF,
+    UNBLOCKED,
+    ConstraintSet,
+    ReservationTable,
+    IntervalIndex,
+    interval_index,
+)
+from .heuristics import distance_tables, heuristic_row
 from .problem import Path, position_at
-
-#: "Forever" for interval arithmetic — far beyond any reachable timestep.
-_INF = 1 << 60
 
 
 def shortest_path_lengths(
@@ -57,8 +61,8 @@ def shortest_path_lengths(
     keep every goal's row for as long as the graph lives, so repeated calls
     for one goal cost a lookup plus this dict, not a BFS.
     """
-    table = distance_tables(floorplan).table(goal)
-    return {vertex: int(d) for vertex, d in enumerate(table) if d >= 0}
+    row = distance_tables(floorplan).row(goal)
+    return {vertex: d for vertex, d in enumerate(row) if d >= 0}
 
 
 @dataclass
@@ -103,62 +107,45 @@ class _BucketQueue:
         return None
 
 
-def _merge_intervals(
-    blocked: Sequence[int], parked_from: Optional[int]
-) -> Tuple[Tuple[int, int], ...]:
-    """Safe intervals of one vertex from its blocked ticks + parked tail.
-
-    Returns inclusive ``(start, end)`` pairs in increasing order; the final
-    interval ends at :data:`_INF` unless a parked agent blocks the vertex
-    forever from some tick on.
-    """
-    horizon = parked_from
-    times = sorted(
-        {t for t in blocked if t >= 0 and (horizon is None or t < horizon)}
-    )
-    intervals: List[Tuple[int, int]] = []
-    start = 0
-    for t in times:
-        if t > start:
-            intervals.append((start, t - 1))
-        start = t + 1
-    if horizon is None:
-        intervals.append((start, _INF))
-    elif start < horizon:
-        intervals.append((start, horizon - 1))
-    return tuple(intervals)
-
-
 class _SafeIntervals:
-    """Lazy per-vertex safe-interval index for one agent's low-level search."""
+    """Lazy per-vertex safe-interval index for one agent's low-level search.
+
+    A vertex the agent has no vertex constraint on reads the reservation
+    table's cached intervals, or the shared :data:`UNBLOCKED` entry when
+    there is no table; only a constrained vertex merges its constraint ticks
+    with the reservations, once per search.
+    """
 
     __slots__ = ("_constraint_blocked", "_reservations", "_cache")
 
     def __init__(
         self,
-        agent: int,
-        constraints: ConstraintSet,
+        constraint_blocked: Dict[VertexId, Tuple[int, ...]],
         reservations: Optional[ReservationTable],
     ) -> None:
-        self._constraint_blocked = constraints.vertex_blocked_times(agent)
+        self._constraint_blocked = constraint_blocked
         self._reservations = reservations
-        self._cache: Dict[
-            VertexId, Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]
-        ] = {}
+        self._cache: Dict[VertexId, IntervalIndex] = {}
 
-    def intervals(
-        self, vertex: VertexId
-    ) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    def intervals(self, vertex: VertexId) -> IntervalIndex:
         """``(intervals, starts)`` of a vertex; ``starts`` supports bisect."""
         cached = self._cache.get(vertex)
         if cached is None:
-            blocked = list(self._constraint_blocked.get(vertex, ()))
-            parked_from = None
-            if self._reservations is not None:
-                blocked.extend(self._reservations.blocked_times(vertex))
-                parked_from = self._reservations.parked.get(vertex)
-            intervals = _merge_intervals(blocked, parked_from)
-            cached = (intervals, tuple(i[0] for i in intervals))
+            reservations = self._reservations
+            constrained = self._constraint_blocked.get(vertex)
+            if constrained is None:
+                cached = (
+                    UNBLOCKED
+                    if reservations is None
+                    else reservations.safe_intervals(vertex)
+                )
+            elif reservations is None:
+                cached = interval_index(constrained, None)
+            else:
+                cached = interval_index(
+                    constrained + reservations.blocked_times(vertex),
+                    reservations.parked.get(vertex),
+                )
             self._cache[vertex] = cached
         return cached
 
@@ -209,52 +196,61 @@ def space_time_astar(
     corresponds to absolute time ``start_time + i``), or ``None`` when no path
     exists within ``max_timestep``.
 
-    ``heuristic`` accepts the legacy ``Dict[vertex, distance]`` shape or a
-    numpy distance row; by default the shared per-floorplan table is used.
+    ``heuristic`` accepts the legacy ``Dict[vertex, distance]`` shape, a
+    numpy distance row or a list; by default the shared per-floorplan row is
+    used.
     """
-    constraints = constraints or ConstraintSet()
-    h = heuristic_array(floorplan, goal, heuristic)
+    h = heuristic_row(floorplan, goal, heuristic)
     if h[start] < 0:
         return None
     stats = stats if stats is not None else SearchStats()
-    horizon_guard = max_timestep if max_timestep is not None else (
-        floorplan.num_vertices * 4
-        + constraints.latest_constraint_time(agent)
-        + (reservations.latest_reserved_time() if reservations else 0)
-    )
-    latest_arrival = start_time + horizon_guard
+    if constraints is None:
+        constraint_blocked: Dict[VertexId, Tuple[int, ...]] = {}
+        edge_constraints: Set[Tuple[VertexId, VertexId, int]] = set()
+        latest_constraint = 0
+    else:
+        constraint_blocked = constraints.vertex_blocked_times(agent)
+        edge_constraints = constraints.edge_constraints(agent)
+        latest_constraint = constraints.latest_constraint_time(agent)
 
-    safe = _SafeIntervals(agent, constraints, reservations)
-    goal_intervals, _ = safe.intervals(goal)
+    if constraint_blocked or reservations is None:
+        intervals_of = _SafeIntervals(constraint_blocked, reservations).intervals
+    else:
+        # No vertex constraint: the table's cached intervals are the agent's.
+        intervals_of = reservations.safe_intervals
+    goal_intervals, _ = intervals_of(goal)
     if not goal_intervals or goal_intervals[-1][1] != _INF:
         # A parked agent blocks the goal forever: resting there is impossible.
         return None
     goal_state = (goal, len(goal_intervals) - 1)
 
-    start_intervals, start_starts = safe.intervals(start)
+    start_intervals, start_starts = intervals_of(start)
     start_idx = _locate(start_starts, start_intervals, start_time)
     if start_idx is None:
         return None
     start_state = (start, start_idx)
+    if start_state == goal_state:
+        # The start lies in the goal's last, unbounded interval: the search
+        # would expand the start state first and find it is the goal.
+        stats.expansions += 1
+        return (start,)
 
-    edge_reservations = (
-        reservations.edge_reservations if reservations is not None else None
+    horizon_guard = max_timestep if max_timestep is not None else (
+        floorplan.num_vertices * 4
+        + latest_constraint
+        + (reservations.latest_reserved_time() if reservations is not None else 0)
     )
-
-    def blocked_move(from_vertex: VertexId, to_vertex: VertexId, arrival: int) -> bool:
-        if constraints.violates_edge(agent, from_vertex, to_vertex, arrival):
-            return True
-        # A swap happens when the opposite move is reserved for the same step.
-        return (
-            edge_reservations is not None
-            and (to_vertex, from_vertex, arrival) in edge_reservations
-        )
+    latest_arrival = start_time + horizon_guard
+    # A swap happens when the opposite move is reserved for the same step.
+    edge_reservations = (
+        reservations.edge_reservations if reservations is not None else ()
+    )
 
     arrivals: Dict[Tuple[VertexId, int], int] = {start_state: start_time}
     parents: Dict[Tuple[VertexId, int], Tuple[VertexId, int]] = {}
     closed: Set[Tuple[VertexId, int]] = set()
     open_queue = _BucketQueue()
-    open_queue.push(int(h[start]), start_state)
+    open_queue.push(h[start], start_state)
 
     while True:
         popped = open_queue.pop()
@@ -269,7 +265,7 @@ def space_time_astar(
             return _reconstruct_sipp(parents, arrivals, state)
         vertex, interval_idx = state
         g_time = arrivals[state]
-        interval_end = safe.intervals(vertex)[0][interval_idx][1]
+        interval_end = intervals_of(vertex)[0][interval_idx][1]
         # The agent may wait anywhere inside its interval before departing;
         # arrivals beyond the horizon cap are pruned.
         earliest = g_time + 1
@@ -277,10 +273,10 @@ def space_time_astar(
         if latest < earliest:
             continue
         for neighbor in floorplan.neighbors(vertex):
-            h_neighbor = int(h[neighbor])
+            h_neighbor = h[neighbor]
             if h_neighbor < 0:
                 continue
-            nbr_intervals, nbr_starts = safe.intervals(neighbor)
+            nbr_intervals, nbr_starts = intervals_of(neighbor)
             first = bisect_right(nbr_starts, earliest) - 1
             if first < 0:
                 first = 0
@@ -290,7 +286,10 @@ def space_time_astar(
                     break
                 arrival = max(earliest, lo)
                 bound = min(latest, hi)
-                while arrival <= bound and blocked_move(vertex, neighbor, arrival):
+                while arrival <= bound and (
+                    (vertex, neighbor, arrival) in edge_constraints
+                    or (neighbor, vertex, arrival) in edge_reservations
+                ):
                     arrival += 1
                 if arrival > bound:
                     continue
@@ -403,11 +402,18 @@ def space_time_focal_astar(
     ``other_paths`` is a sequence of paths or an occupancy index already
     built over them (the ECBS root passes the one it grows).
     """
-    h = heuristic_array(floorplan, goal, heuristic)
+    h = heuristic_row(floorplan, goal, heuristic)
     if h[start] < 0:
         return None
     stats = stats if stats is not None else SearchStats()
     goal_clear = constraints.latest_vertex_constraint(agent, goal) + 1
+    if start == goal and goal_clear <= 0:
+        # Nothing constrains the goal, so the search would expand the start
+        # state first, at f = h[start], and find it is the goal.
+        stats.expansions += 1
+        return (start,), h[start]
+    vertex_constraints = constraints.vertex_constraints(agent)
+    edge_constraints = constraints.edge_constraints(agent)
     horizon_guard = max_timestep if max_timestep is not None else (
         floorplan.num_vertices * 4 + constraints.latest_constraint_time(agent)
     )
@@ -433,7 +439,7 @@ def space_time_focal_astar(
     fmin_heap: List[int] = []
     live: Dict[int, int] = {}
     focal: List[Tuple[int, int, int, int, Tuple[VertexId, int]]] = []
-    lower_bound = int(h[start])
+    lower_bound = h[start]
     threshold = suboptimality * lower_bound
 
     def push(entry, f_value: int) -> None:
@@ -449,7 +455,7 @@ def space_time_focal_astar(
                 bucket.append(entry)
             heapq.heappush(sweep_heap, f_value)
 
-    push((0, int(h[start]), 0, next(counter), start_state), int(h[start]))
+    push((0, h[start], 0, next(counter), start_state), h[start])
 
     while True:
         while fmin_heap and live.get(fmin_heap[0], 0) == 0:
@@ -479,15 +485,17 @@ def space_time_focal_astar(
             return _reconstruct(parents, state), lower_bound
         if time >= horizon_guard:
             continue
+        next_time = time + 1
         for neighbor in (vertex,) + floorplan.neighbors(vertex):
-            next_time = time + 1
-            if constraints.violates_vertex(agent, neighbor, next_time):
+            if vertex_constraints and (neighbor, next_time) in vertex_constraints:
                 continue
-            if neighbor != vertex and constraints.violates_edge(
-                agent, vertex, neighbor, next_time
+            if (
+                edge_constraints
+                and neighbor != vertex
+                and (vertex, neighbor, next_time) in edge_constraints
             ):
                 continue
-            h_neighbor = int(h[neighbor])
+            h_neighbor = h[neighbor]
             if h_neighbor < 0:
                 continue
             next_state = (neighbor, next_time)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import span
 from .astar import SearchStats, space_time_astar
 from .constraints import Constraint, ConstraintSet
-from .heuristics import agent_table, distance_tables
+from .heuristics import agent_row, distance_tables
 from .problem import Conflict, MAPFProblem, MAPFSolution, Path, first_conflict
 
 
@@ -85,7 +85,7 @@ def solve_cbs(
             with sp.timer("heuristic"):
                 tables = distance_tables(floorplan)
                 heuristics = {
-                    agent.agent_id: agent_table(tables, agent)
+                    agent.agent_id: agent_row(tables, agent)
                     for agent in problem.agents
                 }
 

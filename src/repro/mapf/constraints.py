@@ -7,11 +7,12 @@ space-time cells already claimed by other agents.  Both are provided here.
 
 Beyond the membership tests the seed shipped, both structures expose the
 *interval views* the SIPP low level needs (per-vertex sorted blocked-time
-lists), maintain incremental per-vertex indices so "latest time this vertex is
-touched" is O(1) instead of a scan over every reservation, and — for
-:class:`ConstraintSet` — a canonical :meth:`~ConstraintSet.signature` that
-CBS/ECBS use to dedupe constraint-tree nodes reached via different branch
-orders.
+lists; for :class:`ReservationTable`, the merged safe intervals themselves,
+cached per vertex), maintain incremental per-vertex indices so "latest time
+this vertex is touched" is O(1) instead of a scan over every reservation,
+and — for :class:`ConstraintSet` — a canonical
+:meth:`~ConstraintSet.signature` that CBS/ECBS use to dedupe constraint-tree
+nodes reached via different branch orders.
 """
 
 from __future__ import annotations
@@ -20,6 +21,48 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..warehouse.floorplan import VertexId
+
+#: "Forever" for interval arithmetic — far beyond any reachable timestep.
+_INF = 1 << 60
+
+#: Safe intervals of one vertex — inclusive ``(start, end)`` pairs in
+#: increasing order — and the start of each, for bisecting.
+IntervalIndex = Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]
+
+#: The safe intervals of a vertex nothing blocks, shared by every such vertex.
+UNBLOCKED: IntervalIndex = (((0, _INF),), (0,))
+
+
+def _merge_intervals(
+    blocked: Sequence[int], parked_from: Optional[int]
+) -> Tuple[Tuple[int, int], ...]:
+    """Safe intervals of one vertex from its blocked ticks + parked tail.
+
+    Returns inclusive ``(start, end)`` pairs in increasing order; the final
+    interval ends at :data:`_INF` unless a parked agent blocks the vertex
+    forever from some tick on.
+    """
+    horizon = parked_from
+    times = sorted(
+        {t for t in blocked if t >= 0 and (horizon is None or t < horizon)}
+    )
+    intervals: List[Tuple[int, int]] = []
+    start = 0
+    for t in times:
+        if t > start:
+            intervals.append((start, t - 1))
+        start = t + 1
+    if horizon is None:
+        intervals.append((start, _INF))
+    elif start < horizon:
+        intervals.append((start, horizon - 1))
+    return tuple(intervals)
+
+
+def interval_index(blocked: Sequence[int], parked_from: Optional[int]) -> IntervalIndex:
+    """:func:`_merge_intervals` with the start of each interval."""
+    intervals = _merge_intervals(blocked, parked_from)
+    return intervals, tuple(interval[0] for interval in intervals)
 
 
 @dataclass(frozen=True)
@@ -115,6 +158,10 @@ class ConstraintSet:
             self._blocked_cache[agent] = cached
         return cached
 
+    def vertex_constraints(self, agent: int) -> Set[Tuple[VertexId, int]]:
+        """The raw vertex-constraint pairs for ``agent`` (read-only use)."""
+        return self._vertex.get(agent, set())
+
     def latest_vertex_constraint(self, agent: int, vertex: VertexId) -> int:
         """Latest constrained timestep on ``vertex`` for ``agent`` (-1 if none)."""
         times = self.vertex_blocked_times(agent).get(vertex)
@@ -155,7 +202,10 @@ class ReservationTable:
     Per-vertex indices (`blocked times`, latest touch) are maintained
     incrementally on :meth:`reserve_path`, so the SIPP low level reads sorted
     interval boundaries and the target-conflict rule answers "latest transit
-    through the goal" in O(1).
+    through the goal" in O(1).  :meth:`safe_intervals` caches each vertex's
+    merged safe intervals until :meth:`reserve_path` reserves a new cell on
+    the vertex or parks on it; every later low-level search of a prioritized
+    solve reads them instead of merging again.
     """
 
     vertex_reservations: Set[Tuple[VertexId, int]] = field(default_factory=set)
@@ -165,6 +215,9 @@ class ReservationTable:
     _vertex_latest: Dict[VertexId, int] = field(default_factory=dict, repr=False)
     _latest: int = field(default=0, repr=False)
     _blocked_cache: Dict[VertexId, Tuple[int, ...]] = field(
+        default_factory=dict, repr=False
+    )
+    _interval_cache: Dict[VertexId, IntervalIndex] = field(
         default_factory=dict, repr=False
     )
 
@@ -180,6 +233,7 @@ class ReservationTable:
                 if t > self._latest:
                     self._latest = t
                 self._blocked_cache.pop(vertex, None)
+                self._interval_cache.pop(vertex, None)
             if t:
                 self.edge_reservations.add((path[t - 1], vertex, t))
         if park_at_goal and path:
@@ -188,6 +242,7 @@ class ReservationTable:
             parked_from = len(path) - 1
             if previous is None or parked_from < previous:
                 self.parked[goal] = parked_from
+                self._interval_cache.pop(goal, None)
 
     def is_vertex_free(self, vertex: VertexId, timestep: int) -> bool:
         if (vertex, timestep) in self.vertex_reservations:
@@ -206,6 +261,24 @@ class ReservationTable:
         if cached is None:
             cached = tuple(sorted(self._vertex_times.get(vertex, ())))
             self._blocked_cache[vertex] = cached
+        return cached
+
+    def safe_intervals(self, vertex: VertexId) -> IntervalIndex:
+        """Safe intervals of ``vertex`` under the reservations alone.
+
+        Transits block single ticks and a parked agent blocks every tick
+        from the one it parks at.  Every vertex nothing blocks shares the
+        :data:`UNBLOCKED` entry.
+        """
+        cached = self._interval_cache.get(vertex)
+        if cached is None:
+            if vertex in self._vertex_times or vertex in self.parked:
+                cached = interval_index(
+                    self.blocked_times(vertex), self.parked.get(vertex)
+                )
+            else:
+                cached = UNBLOCKED
+            self._interval_cache[vertex] = cached
         return cached
 
     def parked_from(self, vertex: VertexId) -> Optional[int]:

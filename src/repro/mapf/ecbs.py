@@ -32,11 +32,14 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..obs import span
+from ..warehouse.plan import may_collide
 from .astar import SearchStats, _Occupancy, space_time_focal_astar
 from .cbs import _branch_constraints
 from .constraints import ConstraintSet
-from .heuristics import agent_table, distance_tables
+from .heuristics import agent_row, distance_tables
 from .problem import MAPFProblem, MAPFSolution, Path, count_conflicts, first_conflict
 
 
@@ -65,6 +68,15 @@ class _Node:
     expanded: bool = False
 
 
+def _padded(paths: List[Path]) -> np.ndarray:
+    """One row per path, each padded with its last vertex to the longest."""
+    horizon = max(len(path) for path in paths)
+    return np.array(
+        [path + (path[-1],) * (horizon - len(path)) for path in paths],
+        dtype=np.int64,
+    )
+
+
 def solve_ecbs(
     problem: MAPFProblem, options: Optional[ECBSOptions] = None
 ) -> Optional[MAPFSolution]:
@@ -83,7 +95,7 @@ def solve_ecbs(
             with sp.timer("heuristic"):
                 tables = distance_tables(floorplan)
                 heuristics = {
-                    agent.agent_id: agent_table(tables, agent)
+                    agent.agent_id: agent_row(tables, agent)
                     for agent in problem.agents
                 }
 
@@ -126,7 +138,13 @@ def solve_ecbs(
 
             counter = itertools.count()
             with sp.timer("conflict_detection"):
-                root_conflicts = count_conflicts(root_paths)
+                # The root is expanded first, so only whether its count is 0
+                # matters; the numpy screen's "no collision" is exact.
+                root_conflicts = (
+                    count_conflicts(root_paths)
+                    if root_paths and may_collide(_padded(root_paths))
+                    else 0
+                )
             with sp.timer("ct_management"):
                 root = _Node(
                     cost=sum(len(p) - 1 for p in root_paths),

@@ -16,9 +16,12 @@ alone rivalled the search itself.
   most one row per vertex, ``4 * num_vertices`` bytes each), so every
   low-level call, every CT node, every replan episode and every later
   routing pass that targets the same goal shares one row;
-* rows confined to a corridor (an allowed-vertex set) are kept in an LRU of
-  at most :data:`CORRIDOR_ROWS` rows per floorplan, since the corridors a
-  router hands out are unbounded in number;
+* next to each row sits a list copy (:meth:`DistanceTables.row`), which
+  the searches and the dispatch loop index: reading a Python list yields an
+  ``int``, reading the array a numpy scalar that costs an ``int()`` call;
+* rows confined to a corridor (an allowed-vertex set) are kept, with their
+  lists, in an LRU of at most :data:`CORRIDOR_ROWS` rows per floorplan,
+  since the corridors a router hands out are unbounded in number;
 * tables are registered per floorplan (keyed by object identity) and live
   exactly as long as the graph: a ``weakref.finalize`` on the graph drops its
   entry.  Together with the ``FloorplanGraph.from_grid`` memo, repeated
@@ -33,7 +36,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +47,9 @@ UNREACHABLE = -1
 
 #: Corridor-confined rows kept per floorplan (least recently used evicted).
 CORRIDOR_ROWS = 1024
+
+#: A distance row and its list copy, cached and evicted together.
+_Row = Tuple[np.ndarray, List[int]]
 
 
 class DistanceTables:
@@ -64,8 +70,8 @@ class DistanceTables:
             dtype=np.int64,
             count=int(self.indptr[-1]),
         )
-        self._tables: Dict[VertexId, np.ndarray] = {}
-        self._masked: "OrderedDict[Tuple[VertexId, FrozenSet[VertexId]], np.ndarray]" = (
+        self._tables: Dict[VertexId, _Row] = {}
+        self._masked: "OrderedDict[Tuple[VertexId, FrozenSet[VertexId]], _Row]" = (
             OrderedDict()
         )
         #: Guards the corridor LRU: routing runs on several threads share one
@@ -82,11 +88,22 @@ class DistanceTables:
         low-level searches treat as walls — the standard way to confine an
         agent's motion to a designated region of the floorplan.
         """
+        return self._entry(goal, corridor)[0]
+
+    def row(
+        self, goal: VertexId, corridor: Optional[FrozenSet[VertexId]] = None
+    ) -> List[int]:
+        """:meth:`table`'s row as a list of ``int`` (shared: do not mutate)."""
+        return self._entry(goal, corridor)[1]
+
+    def _entry(
+        self, goal: VertexId, corridor: Optional[FrozenSet[VertexId]]
+    ) -> _Row:
         if corridor is None:
             cached = self._tables.get(goal)
             if cached is None:
-                cached = self._bfs(goal)
-                self._tables[goal] = cached
+                distances = self._bfs(goal)
+                cached = self._tables[goal] = (distances, distances.tolist())
             return cached
         key = (goal, corridor)
         masked = self._masked
@@ -97,14 +114,15 @@ class DistanceTables:
                 return cached
             allowed = np.zeros(self.num_vertices, dtype=bool)
             allowed[list(corridor)] = True
-            cached = masked[key] = self._bfs(goal, allowed)
+            distances = self._bfs(goal, allowed)
+            cached = masked[key] = (distances, distances.tolist())
             if len(masked) > CORRIDOR_ROWS:
                 masked.popitem(last=False)
         return cached
 
     def distance(self, source: VertexId, goal: VertexId) -> int:
         """True single-agent distance ``source -> goal`` (-1 when unreachable)."""
-        return int(self.table(goal)[source])
+        return self.row(goal)[source]
 
     def _bfs(self, source: VertexId, allowed: Optional[np.ndarray] = None) -> np.ndarray:
         """Vectorized BFS wavefront over the CSR adjacency."""
@@ -168,35 +186,37 @@ def distance_tables(floorplan: FloorplanGraph) -> DistanceTables:
     return tables
 
 
-def agent_table(tables: DistanceTables, agent) -> np.ndarray:
+def agent_row(tables: DistanceTables, agent) -> List[int]:
     """Distance row for one MAPF agent, honoring its corridor when usable.
 
-    Falls back to the unmasked table when the corridor does not connect the
+    Falls back to the unmasked row when the corridor does not connect the
     agent's start to its goal (e.g. the agent strayed off its corridor while
     idling) — confinement is a routing preference, never a completeness trap.
     """
     corridor = getattr(agent, "corridor", None)
     if corridor is not None:
-        table = tables.table(agent.goal, corridor)
-        if table[agent.start] >= 0:
-            return table
-    return tables.table(agent.goal)
+        row = tables.row(agent.goal, corridor)
+        if row[agent.start] >= 0:
+            return row
+    return tables.row(agent.goal)
 
 
-def heuristic_array(
+def heuristic_row(
     floorplan: FloorplanGraph, goal: VertexId, heuristic=None
-) -> Optional[np.ndarray]:
-    """Normalize a caller-provided heuristic into an ``int32`` distance row.
+) -> List[int]:
+    """Normalize a caller-provided heuristic into a list distance row.
 
-    Accepts ``None`` (compute/share the true-distance table), an ndarray
-    (used as-is), or the legacy ``Dict[vertex, distance]`` shape the public
+    Accepts ``None`` (the shared true-distance row), a list (used as-is), an
+    ndarray row, or the legacy ``Dict[vertex, distance]`` shape the public
     API documented before the table rewrite.
     """
     if heuristic is None:
-        return distance_tables(floorplan).table(goal)
-    if isinstance(heuristic, np.ndarray):
+        return distance_tables(floorplan).row(goal)
+    if isinstance(heuristic, list):
         return heuristic
-    table = np.full(floorplan.num_vertices, UNREACHABLE, dtype=np.int32)
+    if isinstance(heuristic, np.ndarray):
+        return heuristic.tolist()
+    row = [UNREACHABLE] * floorplan.num_vertices
     for vertex, value in heuristic.items():
-        table[vertex] = value
-    return table
+        row[vertex] = int(value)
+    return row

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .astar import SearchStats, space_time_astar
 from .constraints import ReservationTable
-from .heuristics import agent_table, distance_tables
+from .heuristics import agent_row, distance_tables
 from .problem import MAPFProblem, MAPFSolution
 
 
@@ -39,7 +39,7 @@ def solve_prioritized(
     paths = {}
     for agent_id in order:
         agent = problem.agents[agent_id]
-        heuristic = agent_table(tables, agent)
+        heuristic = agent_row(tables, agent)
         path = space_time_astar(
             problem.floorplan,
             agent.start,

@@ -54,6 +54,15 @@ class MAPFProblem:
     agents: Tuple[MAPFAgent, ...]
 
     def __post_init__(self) -> None:
+        # One pass over the vertices accepts a valid problem; only an invalid
+        # one walks the agents, to name the first offender.
+        starts = {agent.start for agent in self.agents}
+        vertices = starts.union(agent.goal for agent in self.agents)
+        if len(starts) == len(self.agents) and (
+            not vertices
+            or (0 <= min(vertices) and max(vertices) < self.floorplan.num_vertices)
+        ):
+            return
         seen_starts: Dict[VertexId, int] = {}
         for agent in self.agents:
             for vertex, label in ((agent.start, "start"), (agent.goal, "goal")):

@@ -21,13 +21,18 @@ crash is that scenario's own ``error`` record (``worker crashed: ...``).
 Draining (SIGINT/SIGTERM) flips the pool into reject-new/finish-in-flight
 mode; :meth:`drain` then blocks until the in-flight work, re-runs included,
 has been handed back to its waiters.
+
+*Orphan-free*: a worker exits as soon as the process that spawned it dies,
+so a server killed without draining leaves neither its workers nor, once
+they are gone, the multiprocessing resource tracker behind.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from multiprocessing import get_context
+from multiprocessing import get_context, parent_process
 from typing import Dict, Optional
 
 from ..experiments import runner
@@ -45,6 +50,26 @@ class PoolSaturated(Exception):
 
 class PoolDraining(PoolSaturated):
     """Raised for submissions arriving after shutdown began."""
+
+
+def _exit_with_parent() -> None:  # module-level: must be picklable for spawn
+    """Worker initializer: exit the moment the spawning process dies.
+
+    A daemon thread waits on the parent's sentinel, which becomes ready when
+    the parent process exits, however it dies.  A parent-death signal would
+    not do: it fires when the spawning *thread* exits, and an executor's
+    workers spawn on whichever thread submits next, often a short-lived
+    request handler.
+    """
+    parent = parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def _ping() -> str:  # module-level: must be picklable for spawn
@@ -89,7 +114,11 @@ class ServicePool:
         )
 
     def _new_executor(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers, mp_context=self._context)
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=self._context,
+            initializer=_exit_with_parent,
+        )
 
     # -- lifecycle --------------------------------------------------------------
     def warm_up(self, timeout: Optional[float] = 60.0) -> None:

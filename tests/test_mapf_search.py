@@ -206,6 +206,117 @@ class TestProblemValidation:
         with pytest.raises(MAPFError):
             MAPFProblem.from_pairs(floorplan, [(0, 99999)])
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 1), (2, 3), (0, 4)], "agents 0 and 2 share start vertex 0"),
+            ([(0, 1), (2, 99)], "agent 1: goal vertex 99 outside the floorplan"),
+            ([(0, 1), (-1, 2)], "agent 1: start vertex -1 outside the floorplan"),
+            # The first offender in agent order is named, start before goal.
+            ([(0, 99), (0, 1)], "agent 0: goal vertex 99 outside the floorplan"),
+            ([(3, 1), (99, -1), (3, 2)], "agent 1: start vertex 99 outside"),
+        ],
+    )
+    def test_errors_name_the_first_offender(self, floorplan, pairs, message):
+        from repro.mapf import MAPFError
+
+        with pytest.raises(MAPFError, match=message):
+            MAPFProblem.from_pairs(floorplan, pairs)
+
+    def test_valid_problems_pass(self, floorplan):
+        last = floorplan.num_vertices - 1
+        assert MAPFProblem.from_pairs(floorplan, [(0, last), (last, 0), (1, 1)])
+        assert MAPFProblem.from_pairs(floorplan, []).num_agents == 0
+
+
+class TestFastPaths:
+    """The low levels' shortcuts return what their full searches return."""
+
+    def test_reserving_through_a_cached_vertex_changes_its_intervals(self, floorplan):
+        from repro.mapf.constraints import UNBLOCKED, _INF
+
+        table = ReservationTable()
+        a, mid, b = v(floorplan, 0, 0), v(floorplan, 1, 0), v(floorplan, 2, 0)
+        assert table.safe_intervals(mid) is UNBLOCKED
+        table.reserve_path((a, mid, b), park_at_goal=False)
+        assert table.safe_intervals(mid)[0] == ((0, 0), (2, _INF))
+        assert table.safe_intervals(b)[0] == ((0, 1), (3, _INF))
+        assert table.safe_intervals(v(floorplan, 4, 2)) is UNBLOCKED
+
+    def test_parking_on_a_cached_vertex_changes_its_intervals(self, floorplan):
+        from repro.mapf.constraints import _INF
+
+        table = ReservationTable()
+        path = (v(floorplan, 0, 0), v(floorplan, 1, 0))
+        table.reserve_path(path, park_at_goal=False)
+        assert table.safe_intervals(path[1])[0] == ((0, 0), (2, _INF))
+        # Every cell is reserved already: only the parked tail is new.
+        table.reserve_path(path, park_at_goal=True)
+        assert table.safe_intervals(path[1])[0] == ((0, 0),)
+        table.reserve_path((path[1],) * 5, park_at_goal=True)
+        assert table.safe_intervals(path[1])[0] == ()
+
+    def test_cached_intervals_match_a_fresh_merge(self, floorplan):
+        from repro.mapf.constraints import _merge_intervals
+
+        rng = random.Random(2)
+        table = ReservationTable()
+        for _ in range(30):
+            for vertex in rng.sample(range(floorplan.num_vertices), 5):
+                expected = _merge_intervals(
+                    table.blocked_times(vertex), table.parked.get(vertex)
+                )
+                assert table.safe_intervals(vertex)[0] == expected
+                assert table.safe_intervals(vertex)[1] == tuple(i[0] for i in expected)
+            path = [rng.randrange(floorplan.num_vertices)]
+            for _ in range(rng.randint(0, 6)):
+                path.append(rng.choice((path[-1],) + floorplan.neighbors(path[-1])))
+            table.reserve_path(tuple(path), park_at_goal=rng.random() < 0.3)
+
+    def test_start_at_goal_counts_one_expansion(self, floorplan):
+        start = v(floorplan, 2, 1)
+        other = (v(floorplan, 0, 0), v(floorplan, 1, 0))
+        for reservations in (None, ReservationTable()):
+            stats = SearchStats()
+            path = space_time_astar(
+                floorplan, start, start, reservations=reservations, stats=stats
+            )
+            assert path == (start,)
+            assert (stats.expansions, stats.generated) == (1, 0)
+        stats = SearchStats()
+        result = space_time_focal_astar(
+            floorplan, start, start, 0, ConstraintSet(), [other], stats=stats
+        )
+        assert result == ((start,), 0)
+        assert (stats.expansions, stats.generated) == (1, 0)
+
+    def test_goal_blocked_later_runs_the_full_search(self, floorplan):
+        goal = v(floorplan, 2, 1)
+        later = ConstraintSet([Constraint(0, goal, 3)])
+        passing = ReservationTable()
+        passing.reserve_path(
+            (v(floorplan, 0, 1), v(floorplan, 1, 1), v(floorplan, 1, 1), goal),
+            park_at_goal=False,
+        )
+        runs = [
+            lambda stats: space_time_astar(
+                floorplan, goal, goal, constraints=later, stats=stats
+            ),
+            lambda stats: space_time_astar(
+                floorplan, goal, goal, reservations=passing, stats=stats
+            ),
+            lambda stats: space_time_focal_astar(
+                floorplan, goal, goal, 0, later, [], stats=stats
+            )[0],
+        ]
+        for run in runs:
+            stats = SearchStats()
+            path = run(stats)
+            # The agent must step off the goal at t=3 and come back.
+            assert path[0] == path[-1] == goal and len(path) > 4
+            assert position_at(path, 3) != goal
+            assert stats.expansions > 1 and stats.generated > 0
+
 
 class TestDistanceTableRegistry:
     @staticmethod
@@ -249,6 +360,32 @@ class TestDistanceTableRegistry:
         assert tables.cached_corridor_rows == 8
         assert tables.table(0, corridors[6]) is rows[6]
         assert tables.table(0, corridors[7]) is not rows[7]
+
+    def test_rows_are_list_copies_of_the_tables(self):
+        floorplan = self.fresh_graph()
+        tables = distance_tables(floorplan)
+        corridor = frozenset({0, 1, 2, 5, 6})
+        for goal in range(floorplan.num_vertices):
+            for mask in (None, corridor):
+                row = tables.row(goal, mask)
+                assert row == tables.table(goal, mask).tolist()
+                assert all(type(d) is int for d in row)
+                assert tables.row(goal, mask) is row
+            assert tables.distance(0, goal) == tables.row(goal)[0]
+
+    def test_an_evicted_corridor_row_drops_its_list(self, monkeypatch):
+        monkeypatch.setattr(heuristics, "CORRIDOR_ROWS", 2)
+        floorplan = self.fresh_graph()
+        tables = distance_tables(floorplan)
+        corridors = [frozenset({0, extra}) for extra in (1, 2, 3)]
+        rows = [tables.row(0, corridor) for corridor in corridors]
+        assert tables.cached_corridor_rows == 2
+        assert tables.row(0, corridors[2]) is rows[2]
+        # The first corridor was evicted with its list: a fresh one comes back.
+        again = tables.row(0, corridors[0])
+        assert again == rows[0] and again is not rows[0]
+        assert tables.table(0, corridors[0]).tolist() == again
+        assert tables.cached_corridor_rows == 2
 
     def test_corridor_rows_survive_concurrent_routers(self, monkeypatch):
         # Threads routing on one graph share its corridor LRU.  With one row

@@ -5,8 +5,9 @@ SIGKILL — mid-request or idle — and every request, the killed one included,
 must still come back ``ok``, through the bare pool, ``SolveService.resolve``
 and the HTTP front end.  The pools fork so a stubbed runner (looked up by
 the pool per submission) reaches the workers and the tests stay fast.  Also
-here: the worker-mode ``CachedEvaluator`` (which runs on the same pool) and
-in-process timeouts off the main thread.
+here: the worker-mode ``CachedEvaluator`` (which runs on the same pool),
+in-process timeouts off the main thread, and a server killed outright,
+whose worker and resource tracker must not outlive it.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +205,59 @@ def test_timeout_budget_works_off_the_main_thread():
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert outcome["status"] == STATUS_OK, outcome["message"]
+
+
+#: A server stand-in: warms a one-worker pool, prints the pids of its worker
+#: and of the multiprocessing resource tracker, then waits to be killed.
+_ORPHAN_PROBE = """
+import sys
+from multiprocessing import resource_tracker
+from repro.service import ServicePool
+
+pool = ServicePool(workers=1)
+pool.warm_up(timeout=120)
+print(*pool._executor._processes, resource_tracker._resource_tracker._pid, flush=True)
+sys.stdin.read()
+"""
+
+
+def _gone(pid: int) -> bool:
+    """True when ``pid`` has exited: no /proc entry, or a zombie left unreaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_killed_server_leaves_no_worker_behind():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    server = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_PROBE],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    orphans = []
+    try:
+        orphans = [int(pid) for pid in server.stdout.readline().split()]
+        assert len(orphans) == 2, "the server printed no worker and tracker pids"
+        server.kill()
+        server.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while not all(_gone(pid) for pid in orphans) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in orphans if not _gone(pid)] == []
+    finally:
+        server.kill()
+        server.wait(timeout=10)
+        server.stdin.close()
+        server.stdout.close()
+        for pid in orphans:
+            if not _gone(pid):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

@@ -2,8 +2,10 @@
 
 Routed plans and every :class:`RoutingReport` field must come out identical
 with the library's occupancy index, early-stopping retreat, table-read
-free-flow cost, array-owned goal specs and screened conflict count as with the
-per-call rebuilds they replaced.  The routed runs cover:
+free-flow cost, array-owned goal specs, screened conflict counts, low-level
+fast paths (list distance rows, start-at-goal shortcuts, cached safe
+intervals) and one-pass problem validation as with the per-call work they
+replaced.  The routed runs cover:
 
 * the digital twin's three paced plans (one router each; on those plans every
   router returns the same plan, and ECBS's root never branches);
@@ -11,7 +13,7 @@ per-call rebuilds they replaced.  The routed runs cover:
 * unpaced ECBS and CBS runs, in which ECBS does branch, so a child node's
   occupancy index is exercised too.
 
-Direct checks compare the focal low level, the occupancy probes, the retreat
+Direct checks compare both low levels, the occupancy probes, the retreat
 choice and the goal specs on random inputs, and pin that ECBS may skip the
 conflict scan of a node whose conflict count is 0.
 """
@@ -31,9 +33,11 @@ from repro.mapf import (
     Constraint,
     ConstraintSet,
     IteratedPlanner,
+    ReservationTable,
     SearchStats,
     count_conflicts,
     first_conflict,
+    space_time_astar,
     space_time_focal_astar,
 )
 from repro.mapf import astar, mapd
@@ -187,23 +191,32 @@ class TestLowLevel:
         floorplan = small_solution.plan.warehouse.floorplan
         rng = random.Random(11)
         solved = 0
-        for _ in range(60):
+        for trial in range(80):
             start, goal = rng.sample(range(floorplan.num_vertices), 2)
+            if trial % 4 == 0:
+                goal = start
             other_paths = [
                 _random_walk(rng, floorplan, rng.randint(1, 15))
                 for _ in range(rng.randint(0, 5))
             ]
+            # Every third search constrains another agent only; every fifth
+            # also forbids the goal at some tick.
+            agent = 1 if trial % 3 == 0 else 0
             constraints = ConstraintSet(
-                Constraint(agent=0, vertex=vertex, timestep=rng.randint(1, 10))
+                Constraint(agent=agent, vertex=vertex, timestep=rng.randint(1, 10))
                 for vertex in rng.sample(range(floorplan.num_vertices), 3)
             )
             hop = _random_walk(rng, floorplan, 2, start=start)
-            constraints.add(Constraint(agent=0, vertex=hop[1], timestep=1, edge_from=start))
+            constraints.add(
+                Constraint(agent=agent, vertex=hop[1], timestep=1, edge_from=start)
+            )
+            if trial % 5 == 0:
+                constraints.add(Constraint(agent=0, vertex=goal, timestep=rng.randint(1, 6)))
             suboptimality = rng.choice((1.0, 1.5, 2.0))
 
-            def search():
+            def search(low_level):
                 stats = SearchStats()
-                result = space_time_focal_astar(
+                result = low_level(
                     floorplan,
                     start,
                     goal,
@@ -215,11 +228,56 @@ class TestLowLevel:
                 )
                 return result, stats.expansions, stats.generated
 
-            ours = search()
-            with reference.reference_routing():
-                assert search() == ours
+            ours = search(space_time_focal_astar)
+            assert ours == search(reference.space_time_focal_astar)
             solved += ours[0] is not None
-        assert solved > 30
+        assert solved > 40
+
+    def test_sipp_search(self, small_solution):
+        # One reservation table per trial, searched, grown and searched again,
+        # so the cached intervals are read after every kind of update.
+        floorplan = small_solution.plan.warehouse.floorplan
+        vertices = range(floorplan.num_vertices)
+        rng = random.Random(17)
+        outcomes = set()
+        for trial in range(40):
+            reservations = None if trial % 4 == 0 else ReservationTable()
+            constraints = None
+            if trial % 3:
+                constraints = ConstraintSet(
+                    Constraint(agent=0, vertex=vertex, timestep=rng.randint(1, 10))
+                    for vertex in rng.sample(vertices, rng.randint(0, 4))
+                )
+            for _ in range(4):
+                start, goal = rng.sample(vertices, 2)
+                if rng.random() < 0.4:
+                    goal = start
+                start_time = rng.randint(0, 3)
+
+                def search(low_level):
+                    stats = SearchStats()
+                    path = low_level(
+                        floorplan,
+                        start,
+                        goal,
+                        constraints=constraints,
+                        reservations=reservations,
+                        start_time=start_time,
+                        stats=stats,
+                    )
+                    return path, stats.expansions, stats.generated
+
+                ours = search(space_time_astar)
+                assert ours == search(reference.space_time_astar)
+                outcomes.add((ours[0] is None, start == goal, ours[1] == 1))
+                if reservations is not None:
+                    reservations.reserve_path(
+                        _random_walk(rng, floorplan, rng.randint(1, 10)),
+                        park_at_goal=rng.random() < 0.3,
+                    )
+        # Solved and unsolvable searches, shortcuts and full searches at a goal.
+        assert {(True, False, False), (False, False, False)} <= outcomes
+        assert {(False, True, True), (False, True, False)} <= outcomes
 
     def test_retreat_target(self, twin_solutions):
         floorplan = twin_solutions[0].plan.warehouse.floorplan
