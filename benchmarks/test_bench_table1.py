@@ -13,11 +13,15 @@ pinned agent count within the paper's runtime, and the nine rows are
 persisted to ``BENCH_table1.json`` (with ``REPRO_BENCH_WRITE=1``); small
 runs never write it.  Each row splits ``synthesis_s`` into the model build
 (``build_s``: compiling the contracts and the MILP) and the HiGHS solve
-(``solve_s``); version 1 rows had ``synthesis_s`` alone.
+(``solve_s``), and records the solve's branch-and-bound ``nodes``; version 1
+rows had ``synthesis_s`` alone, version 2 rows no ``nodes``.  The cyclic GC
+is collected before each timed row, so no row pays for a full collection
+of the garbage an earlier row or map build left.
 """
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -82,6 +86,10 @@ def test_table1_instance(
         solutions.append(solution)
         return solution.synthesis_seconds
 
+    # A full collection (0.03-0.05 s) otherwise lands inside a timed row:
+    # Fulfillment-1/550's build, right after its map build, and some
+    # Fulfillment-2 rows.
+    gc.collect()
     benchmark.pedantic(run, rounds=1, iterations=1)
     solution = solutions[-1]
     table1_collector.add(row_from_solution(map_name, units, solution))
@@ -96,6 +104,7 @@ def test_table1_instance(
         "synthesis_s": solution.synthesis_seconds,
         "build_s": solution.synthesis.build_seconds,
         "solve_s": solution.synthesis.solve_seconds,
+        "nodes": solution.synthesis.nodes,
         "variables": solution.synthesis.num_variables,
         "constraints": solution.synthesis.num_constraints,
         "agents": solution.num_agents,
@@ -119,7 +128,7 @@ def test_table1_instance(
 
 def test_emit_bench_table1_json(bench_rows, paper_scale):
     """Assemble the nine rows; persist them only at paper scale."""
-    document = {"schema": "bench-table1", "version": 2, "rows": bench_rows}
+    document = {"schema": "bench-table1", "version": 3, "rows": bench_rows}
     if paper_scale:
         document = write_bench(BENCH_PATH, document)
     assert len(document["rows"]) == 9

@@ -194,6 +194,8 @@ class FlowSynthesisResult:
     num_constraints: int
     objective_value: Optional[float] = None
     message: str = ""
+    #: Branch-and-bound nodes of the HiGHS solve (0 when it did not run).
+    nodes: int = 0
     traffic_contract: Optional[AGContract] = None
     workload_contract: Optional[AGContract] = None
 
@@ -271,6 +273,7 @@ def synthesize_flows(
         num_constraints=model.num_constraints,
         objective_value=result.objective,
         message=result.message,
+        nodes=result.nodes,
         traffic_contract=system_contract,
         workload_contract=demand_contract,
     )

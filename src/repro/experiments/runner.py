@@ -54,6 +54,11 @@ from .store import (
 )
 
 
+#: The time limit HiGHS gets when the run's budget is already spent: a solve
+#: that reaches it ends with ``LIMIT``, recorded as a timeout.
+_MIN_SOLVE_SECONDS = 1e-3
+
+
 class ScenarioTimeout(Exception):
     """Raised inside a worker when a run exceeds its time budget."""
 
@@ -245,12 +250,15 @@ def execute_scenario(
             with stage(timings, "generate", "experiments.generate"):
                 designed, workload = spec.build()
 
+            # SIGALRM cannot interrupt the native HiGHS call, so what is left
+            # of the time budget is also handed to the ILP backend itself.
+            time_limit = None
+            if timeout_seconds is not None:
+                elapsed = time.perf_counter() - run_started
+                time_limit = max(timeout_seconds - elapsed, _MIN_SOLVE_SECONDS)
             options = pipeline.SolverOptions(
                 synthesis=pipeline.SynthesisOptions(
-                    objective=spec.objective,
-                    # SIGALRM cannot interrupt the native HiGHS call, so the
-                    # time budget is also handed to the ILP backend itself.
-                    time_limit=timeout_seconds,
+                    objective=spec.objective, time_limit=time_limit
                 )
             )
             solver = pipeline.WSPSolver(designed.traffic_system, options)

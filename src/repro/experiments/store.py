@@ -45,7 +45,7 @@ RUN_STATUSES = (STATUS_OK, STATUS_INFEASIBLE, STATUS_TIMEOUT, STATUS_ERROR)
 #: another plan, trace or record bumps it and regenerates
 #: ``tests/output_digests.json``; the result cache serves no record of another
 #: epoch.  A stored record without one is from epoch 0.
-OUTPUT_EPOCH = 1
+OUTPUT_EPOCH = 2
 
 
 @dataclass

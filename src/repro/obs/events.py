@@ -261,20 +261,24 @@ class EventLog:
             raise EventError(
                 f"unknown level {level!r}; expected one of {EVENT_LEVELS}"
             )
-        context = current_context()
-        ids = {key: str(fields.pop(key, "") or context.get(key, "")) for key in CONTEXT_KEYS}
+        context = _CONTEXT.values
+        run_id, request_id, scenario_id = (
+            str(fields.pop(key, "") or context.get(key, "")) for key in CONTEXT_KEYS
+        )
         with self._lock:
             self._seq += 1
             event = Event(
-                seq=self._seq,
-                ts=self._wall(),
-                mono=self._clock(),
-                level=level,
-                component=component,
-                kind=kind,
-                message=message,
-                fields=fields,
-                **ids,
+                self._seq,
+                self._wall(),
+                self._clock(),
+                level,
+                component,
+                kind,
+                message,
+                run_id,
+                request_id,
+                scenario_id,
+                fields,
             )
             self._ring.append(event)
             subscribers = list(self._subscribers) if self._subscribers else None
@@ -349,12 +353,18 @@ class EventLog:
 # thread-local context propagation
 # ---------------------------------------------------------------------------
 
-_CONTEXT = threading.local()
+class _ThreadContext(threading.local):
+    #: What a thread that bound nothing reads: a class attribute, found
+    #: without the failed per-thread lookup a missing attribute costs.
+    values: Dict[str, str] = {}
+
+
+_CONTEXT = _ThreadContext()
 
 
 def current_context() -> Dict[str, str]:
     """The calling thread's bound event context (empty dict when none)."""
-    return getattr(_CONTEXT, "values", None) or {}
+    return _CONTEXT.values or {}
 
 
 @contextmanager

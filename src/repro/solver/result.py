@@ -49,12 +49,16 @@ class SolveResult:
         Mapping from :class:`Variable` to its value in the returned assignment.
     message:
         Optional human-readable diagnostic from HiGHS.
+    nodes:
+        Branch-and-bound nodes HiGHS explored (0 for an LP or a model
+        solved without HiGHS).
     """
 
     status: SolveStatus
     objective: Optional[float] = None
     values: Dict[Variable, float] = field(default_factory=dict)
     message: str = ""
+    nodes: int = 0
 
     @property
     def is_feasible(self) -> bool:

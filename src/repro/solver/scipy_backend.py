@@ -6,10 +6,16 @@ to HiGHS, which is the fastest engine available offline.  A model without
 integer variables is simply an LP and takes the same path.  Sparse constraint
 matrices are used so the paper-scale instances (tens of thousands of flow
 variables on the Fulfillment-2 map) stay well within laptop memory.
+
+Every solve runs without HiGHS's Feasibility Jump primal heuristic: on the
+small flow MILPs, which close at the root, it took more than half of a solve
+and rarely supplied the answer (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
+import threading
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -25,6 +31,21 @@ _INF = float("inf")
 
 #: ``milp`` status codes without a usable assignment.
 _STATUS = {1: SolveStatus.LIMIT, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
+
+#: HiGHS options every solve passes on top of ``time_limit``.
+_HIGHS_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
+
+#: The start of the ``RuntimeWarning`` in which ``milp`` notes that it hands
+#: ``_HIGHS_OPTIONS`` to HiGHS verbatim.  It is expected, so it is silenced.
+#: A HiGHS that does not know the option says so in an ``OptimizeWarning``,
+#: which is let through: that solve runs the heuristic after all.
+_VERBATIM_NOTE = r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'\}\."
+
+#: ``catch_warnings`` swaps process-wide filters, so solves in one process
+#: take turns.  HiGHS releases the GIL while it solves, so threads that solve
+#: at once lose their overlap; the pipeline solves in parallel only in pool
+#: worker processes, each with a lock of its own.
+_WARNINGS_LOCK = threading.Lock()
 
 
 def _build_sparse(model: ConstraintModel):
@@ -124,16 +145,24 @@ def solve_model(
         sign,
         offset,
     ) = _build_sparse(model)
-    res = milp(
-        c=c,
-        constraints=(
-            SciLinearConstraint(matrix, row_lb, row_ub) if model.num_constraints else ()
-        ),
-        bounds=Bounds(lb, ub),
-        integrality=integrality,
-        options=None if time_limit is None else {"time_limit": float(time_limit)},
-    )
+    options = dict(_HIGHS_OPTIONS)
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    # Inserted in front of the caller's filters, so it holds under an outer
+    # ``simplefilter("error")`` too.
+    with _WARNINGS_LOCK, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _VERBATIM_NOTE, RuntimeWarning)
+        res = milp(
+            c=c,
+            constraints=(
+                SciLinearConstraint(matrix, row_lb, row_ub) if model.num_constraints else ()
+            ),
+            bounds=Bounds(lb, ub),
+            integrality=integrality,
+            options=options,
+        )
     message = str(res.message)
+    nodes = int(res.mip_node_count or 0)
     if res.x is not None and res.status in (0, 1):
         x = np.asarray(res.x)
         if res.status == 0:
@@ -145,5 +174,8 @@ def solve_model(
             objective=sign * (float(c @ x) + offset),
             values={var: float(v) for var, v in zip(variables, x)},
             message=message,
+            nodes=nodes,
         )
-    return SolveResult(status=_STATUS.get(res.status, SolveStatus.ERROR), message=message)
+    return SolveResult(
+        status=_STATUS.get(res.status, SolveStatus.ERROR), message=message, nodes=nodes
+    )

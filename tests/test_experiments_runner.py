@@ -2,6 +2,7 @@
 sweep aggregation / regression-comparison layer."""
 
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -101,6 +102,29 @@ class TestRunner:
         records = run_sweep(TINY[:1], SweepOptions(workers=1, timeout_seconds=1e-4))
         assert records[0].status == STATUS_TIMEOUT
         assert "timeout" in records[0].message
+
+    def test_highs_gets_what_is_left_of_the_timeout(self, monkeypatch):
+        from repro.core import flow_synthesis
+
+        build, solve = ScenarioSpec.build, flow_synthesis.solve_model
+        build_seconds = 0.3
+        limits = []
+
+        def slow_build(spec):
+            time.sleep(build_seconds)
+            return build(spec)
+
+        def recording_solve(model, time_limit=None):
+            limits.append(time_limit)
+            return solve(model, time_limit=time_limit)
+
+        monkeypatch.setattr(ScenarioSpec, "build", slow_build)
+        monkeypatch.setattr(flow_synthesis, "solve_model", recording_solve)
+        spec = replace(TINY[0], simulate=False)
+        document = execute_scenario(spec.to_dict(), timeout_seconds=1.0)
+        assert document["status"] == STATUS_OK
+        assert len(limits) == 1
+        assert 0 < limits[0] < 1.0 - build_seconds
 
     def test_worker_exception_is_captured_as_error(self):
         # An invalid spec smuggled past the generator must surface as an

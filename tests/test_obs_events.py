@@ -185,6 +185,10 @@ def test_event_context_layers_and_explicit_kwargs_win():
     assert current_context() == {}
     # Context never leaks into the free-form fields payload.
     assert event.to_dict()["fields"] == {}
+    # Outside any context, an explicit id still becomes the event's id.
+    bare = log.emit("tick", "test", request_id="r-1", tick=3)
+    assert (bare.run_id, bare.request_id, bare.scenario_id) == ("", "r-1", "")
+    assert bare.fields == {"tick": 3}
 
 
 def test_unknown_context_key_and_level_fail_loudly():

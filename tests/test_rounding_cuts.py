@@ -5,6 +5,10 @@
 keeps the model without them.  On every instance both models must reach the
 same status and objective, and the uncut model's integer solution must
 satisfy every cut row: a valid cut removes only fractional points.
+
+The same instances pin ``solve_model``'s HiGHS options: the cut model solved
+by ``milp`` at HiGHS's defaults reaches the same status and an objective
+within 1e-6 (another optimal vertex can read 21.000000000000004 for 21.0).
 """
 
 import pytest
@@ -15,7 +19,7 @@ from repro.core import FlowVariablePool, SynthesisOptions
 from repro.core.flow_synthesis import _build_model
 from repro.experiments.generator import mix_suite, scaling_suite, smoke_suite
 from repro.maps import MAP_REGISTRY, toy_warehouse
-from repro.solver import solve_model
+from repro.solver import scipy_backend, solve_model
 from repro.warehouse import Workload
 
 #: (label, map preset or None for the toy map, units, horizon, objective).
@@ -38,6 +42,13 @@ def _designed(map_name):
     return getattr(built, "designed", built)
 
 
+def _solve_at_highs_defaults(model):
+    """``solve_model`` without the options it adds to ``time_limit``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy_backend, "_HIGHS_OPTIONS", {})
+        return solve_model(model)
+
+
 def _check_same_optimum(system, workload, horizon, objective):
     options = SynthesisOptions(objective=objective)
     num_periods = horizon // system.cycle_time(options.cycle_time_factor)
@@ -50,6 +61,9 @@ def _check_same_optimum(system, workload, horizon, objective):
     with_cuts, without = solve_model(cut), solve_model(uncut)
     assert with_cuts.status == without.status
     assert with_cuts.objective == without.objective
+    defaults = _solve_at_highs_defaults(cut)
+    assert with_cuts.status == defaults.status
+    assert with_cuts.objective == pytest.approx(defaults.objective, abs=1e-6)
     if without.status.has_solution:
         violated = [c.name for c in cuts if not c.is_satisfied(without.values)]
         assert violated == []

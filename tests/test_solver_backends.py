@@ -4,16 +4,22 @@ Every model, LP or MILP, goes through the same export and ``milp`` call, so
 the LP cases below pin the semantics of that export: max sense, ``<=``/``>=``/
 ``==`` rows, variable bounds and the objective constant.  The property tests
 check it against scipy called directly (``linprog`` for LPs, ``milp`` for
-ILPs); those oracles live only here.
+ILPs, both at HiGHS's defaults); those oracles live only here.
+``TestHighsOptions`` pins the options ``solve_model`` adds and the one
+warning it silences.
 """
+
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning, linprog, milp
 
-from repro.solver import ConstraintModel, SolveStatus, solve_model
+from repro.solver import ConstraintModel, SolveStatus, scipy_backend, solve_model
 from repro.solver.expressions import LinearExpr
 
 
@@ -53,12 +59,108 @@ class TestScipyBackend:
         result = solve_model(model)
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(10.0)
+        assert result.nodes == 0
 
     def test_named_dict(self):
         model, _ = knapsack_model()
         result = solve_model(model)
         named = result.as_named_dict()
         assert set(named) == {"x0", "x1", "x2"}
+
+
+class TestHighsOptions:
+    def test_an_integer_solve_warns_nothing(self):
+        model, _ = knapsack_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_model(model, time_limit=10.0)
+        assert result.status == SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("time_limit", [None, 2.5])
+    def test_milp_gets_the_options(self, monkeypatch, time_limit):
+        received = []
+
+        def recording_milp(**kwargs):
+            received.append(kwargs["options"])
+            res = milp(**kwargs)
+            res.mip_node_count = 7
+            return res
+
+        monkeypatch.setattr(scipy_backend, "milp", recording_milp)
+        model, _ = knapsack_model()
+        result = solve_model(model, time_limit=time_limit)
+        expected = {"mip_heuristic_run_feasibility_jump": False}
+        if time_limit is not None:
+            expected["time_limit"] = time_limit
+        assert received == [expected]
+        assert result.nodes == 7
+
+    def test_other_warnings_pass(self, monkeypatch):
+        # A HiGHS without the option, and a note naming another option.
+        unknown = "Unrecognized options detected: {'mip_heuristic_run_feasibility_jump': False}"
+        other = "Unrecognized options detected: {'other_option'}. These will be passed verbatim."
+
+        def warning_milp(**kwargs):
+            warnings.warn(unknown, OptimizeWarning)
+            warnings.warn(other, RuntimeWarning)
+            return milp(**kwargs)
+
+        monkeypatch.setattr(scipy_backend, "milp", warning_milp)
+        model, _ = knapsack_model()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_model(model)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (OptimizeWarning, unknown),
+            (RuntimeWarning, other),
+        ]
+
+    def test_default_warnings_repeat_after_each_solve(self, monkeypatch):
+        # ``catch_warnings`` resets every module's once-per-location record,
+        # so a HiGHS without the option warns on every solve, and a warning
+        # shown under the "default" action elsewhere shows again after one.
+        unknown = "Unrecognized options detected: {'mip_heuristic_run_feasibility_jump': False}"
+
+        def warning_milp(**kwargs):
+            warnings.warn(unknown, OptimizeWarning)
+            return milp(**kwargs)
+
+        monkeypatch.setattr(scipy_backend, "milp", warning_milp)
+        model, _ = knapsack_model()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(3):
+                solve_model(model)
+                warnings.warn("elsewhere", UserWarning)
+        assert [w.category for w in caught] == [OptimizeWarning, UserWarning] * 3
+
+    def test_concurrent_solves_warn_nothing(self):
+        # Each solve swaps the process-wide warning filters; unserialized, one
+        # thread restores them while another is inside ``milp``.
+        model, _ = knapsack_model()
+        errors = []
+
+        def solve_many():
+            try:
+                for _ in range(150):
+                    solve_model(model)
+            except Exception as error:  # noqa: BLE001 - collected for the assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                threads = [threading.Thread(target=solve_many) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 def lp(num_vars, lb=0, ub=None):
@@ -243,5 +345,5 @@ class TestAgainstScipyOracles:
             integrality=np.ones(n),
         )
         assert ref.status == 0  # box-bounded, always feasible (x = 0 unless rhs < 0)
-        assert ours.is_feasible
+        assert ours.status == SolveStatus.OPTIMAL
         assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
