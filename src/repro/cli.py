@@ -63,6 +63,7 @@ import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import __version__
+from .deadline import check_budget
 from .experiments import PRESET_SUITES
 from .optimize import OBJECTIVES, OPTIMIZE_PRESETS, OPTIMIZERS
 from .sim.routers import ROUTERS
@@ -335,6 +336,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(f"--workers must be at least 1 (got {args.workers})")
     if args.limit < 0:
         raise SystemExit(f"--limit must be non-negative (got {args.limit})")
+    check_budget(args.timeout, "--timeout", SystemExit)
     from .obs import AlertError, AlertMonitor, get_event_log, get_registry, parse_rules
 
     try:
@@ -443,6 +445,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise SystemExit(f"--budget must be at least 1 evaluation (got {args.budget})")
     if args.workers < 0:
         raise SystemExit(f"--workers must be non-negative (got {args.workers})")
+    check_budget(args.timeout, "--timeout", SystemExit)
     if args.resume and not args.log:
         raise SystemExit("--resume needs --log (the campaign file to resume from)")
     try:
@@ -531,8 +534,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"--cache-shards must be at least 1 (got {args.cache_shards})")
     if args.max_body_bytes < 1:
         raise SystemExit(f"--max-body-bytes must be positive (got {args.max_body_bytes})")
-    if args.timeout is not None and not args.timeout > 0:
-        raise SystemExit(f"--timeout must be positive (got {args.timeout:g})")
+    check_budget(args.timeout, "--timeout", SystemExit)
     from .obs import AlertError, parse_rules
 
     try:

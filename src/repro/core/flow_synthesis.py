@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..contracts import AGContract, check_composition_consistency
+from ..deadline import ScenarioTimeout, current_deadline
 from ..obs import stage
 from ..solver import SolveStatus, solve_model
 from ..solver.expressions import EQ, GE, LE, add_terms, linear_row
@@ -56,7 +57,6 @@ class SynthesisOptions:
     objective: str = "min_agents"
     cycle_time_factor: int = 2
     warmup_periods: Optional[int] = None
-    time_limit: Optional[float] = None
     check_contracts: bool = False
 
     def __post_init__(self) -> None:
@@ -254,8 +254,14 @@ def synthesize_flows(
             workload_contract=demand_contract,
         )
 
+    deadline = current_deadline()
     with stage(timings, "solve", "solver.synthesis.solve"):
-        result = solve_model(model, time_limit=options.time_limit)
+        result = solve_model(
+            model, time_limit=None if deadline is None else deadline.remaining()
+        )
+    if deadline is not None and result.status in (SolveStatus.FEASIBLE, SolveStatus.LIMIT):
+        # HiGHS stops short of a proof only at its time limit: the run's.
+        raise ScenarioTimeout(deadline.seconds)
 
     flow_set = None
     if result.status.has_solution:

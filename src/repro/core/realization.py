@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..deadline import current_deadline
 from ..traffic.system import ComponentId, TrafficSystem
 from ..warehouse.plan import Plan
 from ..warehouse.products import EMPTY_HANDED, ProductId
@@ -195,10 +196,13 @@ def _realize_motion(
     lagging_at: Dict[int, int] = {}
     boundary_of: Dict[tuple, int] = {}
     repeat: Optional[Tuple[int, int]] = None
+    deadline = current_deadline()
 
     for t in range(horizon - 1):
         period_start = (t // cycle_time) * cycle_time
         if t % cycle_time == 0:
+            if deadline is not None:
+                deadline.check()
             if t > 0:
                 entered_this_period = [0] * len(components)
                 lagging = [a for a in agents if a.advance_t < t - cycle_time]

@@ -13,10 +13,11 @@ serves cold requests.  Every scenario yields exactly one
 * a worker exception is captured as a structured ``error`` record (with the
   traceback in the message) without aborting the batch, and so is a worker
   that dies hard (``worker crashed: ...``);
-* runs exceeding the per-run timeout are recorded as ``timeout`` — the budget
-  is enforced twice, as a POSIX ``SIGALRM`` interrupting the Python stages
-  (main thread only) and as the ILP backend's own native time limit (a
-  signal cannot interrupt the HiGHS C call).
+* runs exceeding the per-run timeout are recorded as ``timeout``, with the
+  stage that ran out named in the message.  The budget is one
+  :func:`~repro.deadline.deadline_scope` around the run, so it holds on any
+  thread: HiGHS gets what is left of it, and realization, routing and the
+  sim engine check it as they loop.
 
 Workers are spawned (not forked) by default so runs are isolated and
 reproducible, and records are appended to the store in scenario order, so a
@@ -32,8 +33,6 @@ its clients, the CLI parser) never load scipy.
 from __future__ import annotations
 
 import os
-import signal
-import threading
 import time
 import traceback
 from contextlib import contextmanager
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..deadline import ScenarioTimeout, check_budget, deadline_scope
 from ..traffic.component import TrafficError
 from ..warehouse import WarehouseError, WorkloadError
 from .scenario import SOLVER_BACKEND, ScenarioError, ScenarioSpec, parse_service_time
@@ -52,40 +52,6 @@ from .store import (
     ResultStore,
     RunRecord,
 )
-
-
-#: The time limit HiGHS gets when the run's budget is already spent: a solve
-#: that reaches it ends with ``LIMIT``, recorded as a timeout.
-_MIN_SOLVE_SECONDS = 1e-3
-
-
-class ScenarioTimeout(Exception):
-    """Raised inside a worker when a run exceeds its time budget."""
-
-
-@contextmanager
-def _deadline(seconds: Optional[float]):
-    """Interrupt the enclosed block after ``seconds`` with ``SIGALRM``.
-
-    A no-op where the signal does not exist and off the main thread, where
-    Python cannot install a signal handler; the ILP backend's native time
-    limit still bounds the synthesis solve there.
-    """
-    on_main_thread = threading.current_thread() is threading.main_thread()
-    if not seconds or not on_main_thread or not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def _expired(signum, frame):
-        raise ScenarioTimeout(f"run exceeded the {seconds:g}s timeout")
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @contextmanager
@@ -193,12 +159,10 @@ def load_pipeline() -> SimpleNamespace:
     from ..core.flow_synthesis import FlowSynthesisError
     from ..core.pipeline import SolverOptions, SynthesisOptions, WSPSolver
     from ..sim.runner import SimulationConfig
-    from ..solver import SolveStatus
 
     return SimpleNamespace(
         FlowSynthesisError=FlowSynthesisError,
         SimulationConfig=SimulationConfig,
-        SolveStatus=SolveStatus,
         SolverOptions=SolverOptions,
         SynthesisOptions=SynthesisOptions,
         WSPSolver=WSPSolver,
@@ -245,29 +209,22 @@ def execute_scenario(
         return result
 
     try:
-        with event_context(scenario_id=spec.scenario_id), _deadline(timeout_seconds):
+        with event_context(scenario_id=spec.scenario_id), deadline_scope(
+            timeout_seconds
+        ) as deadline:
             emit_event("run.started", "runner", message=spec.label)
             with stage(timings, "generate", "experiments.generate"):
                 designed, workload = spec.build()
+                if deadline is not None:
+                    deadline.check()
 
-            # SIGALRM cannot interrupt the native HiGHS call, so what is left
-            # of the time budget is also handed to the ILP backend itself.
-            time_limit = None
-            if timeout_seconds is not None:
-                elapsed = time.perf_counter() - run_started
-                time_limit = max(timeout_seconds - elapsed, _MIN_SOLVE_SECONDS)
             options = pipeline.SolverOptions(
-                synthesis=pipeline.SynthesisOptions(
-                    objective=spec.objective, time_limit=time_limit
-                )
+                synthesis=pipeline.SynthesisOptions(objective=spec.objective)
             )
             solver = pipeline.WSPSolver(designed.traffic_system, options)
             solution = solver.solve(workload, horizon=spec.horizon)
             timings.update(solution.timings)
             if not solution.succeeded:
-                synthesis = solution.synthesis
-                if synthesis is not None and synthesis.status == pipeline.SolveStatus.LIMIT:
-                    return record(STATUS_TIMEOUT, solution.message)
                 return record(STATUS_INFEASIBLE, solution.message)
 
             sim: Dict[str, float] = {}
@@ -309,8 +266,8 @@ class SweepOptions:
     """Knobs of one batch run."""
 
     workers: int = 1
-    #: Per-run wall-clock budget (``SIGALRM`` for the Python stages, the ILP
-    #: backend's native time limit for the synthesis solve).
+    #: Per-run wall-clock budget, positive when set (one deadline scope per
+    #: run; see :mod:`repro.deadline`).
     timeout_seconds: Optional[float] = None
     #: ``multiprocessing`` start method; spawn keeps workers state-free.
     start_method: str = "spawn"
@@ -319,6 +276,9 @@ class SweepOptions:
     #: workers interleave their ``run.started``/``run.finished`` events into
     #: the same file (flock-safe) — the feed ``repro top --events`` tails.
     events_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_budget(self.timeout_seconds, error=ScenarioError)
 
 
 def run_sweep(

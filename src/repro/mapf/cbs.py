@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..deadline import current_deadline
 from ..obs import span
 from .astar import SearchStats, space_time_astar
 from .constraints import Constraint, ConstraintSet
@@ -28,10 +29,9 @@ from .problem import Conflict, MAPFProblem, MAPFSolution, Path, first_conflict
 
 @dataclass
 class CBSOptions:
-    """Limits for the constraint-tree search."""
+    """Limits for the constraint-tree search (time: the caller's deadline)."""
 
     max_nodes: int = 20_000
-    time_limit: Optional[float] = None
 
 
 @dataclass(order=True)
@@ -72,6 +72,7 @@ def solve_cbs(
     """Optimal CBS; returns None on failure (unsolvable or limits exceeded)."""
     options = options or CBSOptions()
     start_time = time.perf_counter()
+    deadline = current_deadline()
     floorplan = problem.floorplan
     stats = SearchStats()
     expanded = 0
@@ -130,10 +131,7 @@ def solve_cbs(
                 if expanded >= options.max_nodes:
                     sp.set_attr("outcome", "node_limit")
                     return None
-                if (
-                    options.time_limit is not None
-                    and time.perf_counter() - start_time > options.time_limit
-                ):
+                if deadline is not None and deadline.expired():
                     sp.set_attr("outcome", "time_limit")
                     return None
                 with sp.timer("ct_management"):

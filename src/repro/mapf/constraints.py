@@ -199,10 +199,9 @@ class ReservationTable:
     records agents that sit on ``v`` forever from a given time (agents resting
     at their goal).
 
-    Per-vertex indices (`blocked times`, latest touch) are maintained
-    incrementally on :meth:`reserve_path`, so the SIPP low level reads sorted
-    interval boundaries and the target-conflict rule answers "latest transit
-    through the goal" in O(1).  :meth:`safe_intervals` caches each vertex's
+    Each vertex's blocked times are maintained incrementally on
+    :meth:`reserve_path`, so the SIPP low level reads sorted interval
+    boundaries.  :meth:`safe_intervals` caches each vertex's
     merged safe intervals until :meth:`reserve_path` reserves a new cell on
     the vertex or parks on it; every later low-level search of a prioritized
     solve reads them instead of merging again.
@@ -212,7 +211,6 @@ class ReservationTable:
     edge_reservations: Set[Tuple[VertexId, VertexId, int]] = field(default_factory=set)
     parked: Dict[VertexId, int] = field(default_factory=dict)
     _vertex_times: Dict[VertexId, Set[int]] = field(default_factory=dict, repr=False)
-    _vertex_latest: Dict[VertexId, int] = field(default_factory=dict, repr=False)
     _latest: int = field(default=0, repr=False)
     _blocked_cache: Dict[VertexId, Tuple[int, ...]] = field(
         default_factory=dict, repr=False
@@ -228,8 +226,6 @@ class ReservationTable:
             if cell not in self.vertex_reservations:
                 self.vertex_reservations.add(cell)
                 self._vertex_times.setdefault(vertex, set()).add(t)
-                if t > self._vertex_latest.get(vertex, -1):
-                    self._vertex_latest[vertex] = t
                 if t > self._latest:
                     self._latest = t
                 self._blocked_cache.pop(vertex, None)
@@ -243,12 +239,6 @@ class ReservationTable:
             if previous is None or parked_from < previous:
                 self.parked[goal] = parked_from
                 self._interval_cache.pop(goal, None)
-
-    def is_vertex_free(self, vertex: VertexId, timestep: int) -> bool:
-        if (vertex, timestep) in self.vertex_reservations:
-            return False
-        parked_from = self.parked.get(vertex)
-        return parked_from is None or timestep < parked_from
 
     def blocked_times(self, vertex: VertexId) -> Tuple[int, ...]:
         """Sorted timesteps at which ``vertex`` is reserved by a transit.
@@ -280,26 +270,6 @@ class ReservationTable:
                 cached = UNBLOCKED
             self._interval_cache[vertex] = cached
         return cached
-
-    def parked_from(self, vertex: VertexId) -> Optional[int]:
-        """First timestep of the unbounded parked interval at ``vertex``."""
-        return self.parked.get(vertex)
-
-    def latest_vertex_time(self, vertex: VertexId) -> int:
-        """The last timestep at which ``vertex`` is reserved (-1 when never).
-
-        Used to resolve *target conflicts*: an agent may only finish (and then
-        rest forever) at a vertex after every transiting reservation through it
-        has passed.
-        """
-        return self._vertex_latest.get(vertex, -1)
-
-    def is_move_free(self, from_vertex: VertexId, to_vertex: VertexId, timestep: int) -> bool:
-        """Whether moving ``from -> to`` arriving at ``timestep`` is allowed."""
-        if not self.is_vertex_free(to_vertex, timestep):
-            return False
-        # A swap happens when the opposite move is reserved for the same step.
-        return (to_vertex, from_vertex, timestep) not in self.edge_reservations
 
     def latest_reserved_time(self) -> int:
         return self._latest

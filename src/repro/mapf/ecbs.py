@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..deadline import current_deadline
 from ..obs import span
 from ..warehouse.plan import may_collide
 from .astar import SearchStats, _Occupancy, space_time_focal_astar
@@ -45,11 +46,10 @@ from .problem import MAPFProblem, MAPFSolution, Path, count_conflicts, first_con
 
 @dataclass
 class ECBSOptions:
-    """Suboptimality factor and search limits."""
+    """Suboptimality factor and search limits (time: the caller's deadline)."""
 
     suboptimality: float = 1.5
     max_nodes: int = 20_000
-    time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.suboptimality < 1.0:
@@ -83,6 +83,7 @@ def solve_ecbs(
     """Bounded-suboptimal MAPF via ECBS(w); returns None on failure."""
     options = options or ECBSOptions()
     start_time = time.perf_counter()
+    deadline = current_deadline()
     floorplan = problem.floorplan
     stats = SearchStats()
     expanded = 0
@@ -201,10 +202,7 @@ def solve_ecbs(
                 if expanded > options.max_nodes:
                     sp.set_attr("outcome", "node_limit")
                     return None
-                if (
-                    options.time_limit is not None
-                    and time.perf_counter() - start_time > options.time_limit
-                ):
+                if deadline is not None and deadline.expired():
                     sp.set_attr("outcome", "time_limit")
                     return None
 

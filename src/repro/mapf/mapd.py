@@ -58,6 +58,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..deadline import check_budget, current_deadline, deadline_scope
 from ..warehouse.floorplan import FloorplanGraph, VertexId
 from ..warehouse.plan import Plan
 from .cbs import CBSOptions, solve_cbs
@@ -170,6 +171,7 @@ class IteratedPlannerOptions:
 
     engine: str = "ecbs"
     suboptimality: float = 1.5
+    #: Seconds for one solve, nested in the caller's deadline (the earlier wins).
     time_limit: Optional[float] = None
     max_episodes: int = 10_000
     per_episode_node_limit: int = 20_000
@@ -181,6 +183,7 @@ class IteratedPlannerOptions:
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise LifelongError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        check_budget(self.time_limit, "time_limit", LifelongError)
         if self.commit_window is not None and self.commit_window < 1:
             raise LifelongError(
                 f"commit_window must be at least 1 step, got {self.commit_window}"
@@ -196,7 +199,13 @@ class IteratedPlanner:
 
     # -- public API ----------------------------------------------------------------
     def solve(self, tasks: Sequence[LifelongTask]) -> LifelongResult:
+        with deadline_scope(self.options.time_limit):
+            return self._solve(tasks)
+
+    # -- internals --------------------------------------------------------------------
+    def _solve(self, tasks: Sequence[LifelongTask]) -> LifelongResult:
         start_time = time.perf_counter()
+        deadline = current_deadline()
         options = self.options
         tables = distance_tables(self.floorplan)
         pending: Dict[int, List[VertexId]] = {
@@ -232,10 +241,7 @@ class IteratedPlanner:
             if episodes >= options.max_episodes:
                 status = STATUS_EPISODE_LIMIT
                 break
-            if (
-                options.time_limit is not None
-                and time.perf_counter() - start_time > options.time_limit
-            ):
+            if deadline is not None and deadline.expired():
                 status = STATUS_TIME_LIMIT
                 break
 
@@ -284,20 +290,11 @@ class IteratedPlanner:
 
             episodes += 1
             pending_cells = {queue[0] for queue in pending.values() if queue}
-            remaining = None
-            if options.time_limit is not None:
-                remaining = options.time_limit - (time.perf_counter() - start_time)
-                if remaining <= 0:
-                    status = STATUS_TIME_LIMIT
-                    break
             solution, solved_active = self._solve_with_fallback(
-                tasks, positions, active, urgency, corridors, pending_cells, remaining
+                tasks, positions, active, urgency, corridors, pending_cells
             )
             if solution is None:
-                out_of_time = (
-                    options.time_limit is not None
-                    and time.perf_counter() - start_time >= options.time_limit
-                )
+                out_of_time = deadline is not None and deadline.expired()
                 status = STATUS_TIME_LIMIT if out_of_time else STATUS_STALLED
                 break
             expansions += solution.expansions
@@ -357,7 +354,6 @@ class IteratedPlanner:
             status=status if any(pending.values()) else STATUS_COMPLETED,
         )
 
-    # -- internals --------------------------------------------------------------------
     def _solve_with_fallback(
         self,
         tasks: Sequence[LifelongTask],
@@ -366,7 +362,6 @@ class IteratedPlanner:
         urgency: Dict[int, int],
         corridors: Dict[int, Optional[FrozenSet[VertexId]]],
         pending_cells: Set[VertexId],
-        time_limit: Optional[float],
     ) -> Tuple[Optional[MAPFSolution], Set[int]]:
         """Solve the episode, demoting low-urgency agents when it is unsolvable.
 
@@ -374,27 +369,25 @@ class IteratedPlanner:
         episode (retreating off task endpoints) and are retried next episode
         from the new configuration.  Demotion order: latest release first
         (most slack), ties by agent id — the most urgent agent is held last.
-        Every rung shares the episode's ``time_limit``; the ladder stops when
-        it is spent.
+        Every rung shares the run's deadline; the ladder stops when it passes.
         """
-        deadline = None if time_limit is None else time.perf_counter() + time_limit
         problem = self._episode_problem(
             tasks, positions, active, pending_cells, corridors
         )
-        solution = self._solve_episode(problem, time_limit, set(active))
+        solution = self._solve_episode(problem, set(active))
         if solution is not None or len(active) <= 1:
             return solution, set(active)
+        deadline = current_deadline()
         by_urgency = sorted(active, key=lambda a: (urgency.get(a, 0), a))
         for keep in range(len(by_urgency) - 1, 0, -1):
-            remaining = None if deadline is None else deadline - time.perf_counter()
-            if remaining is not None and remaining <= 0:
+            if deadline is not None and deadline.expired():
                 break
             subset = {agent_id: active[agent_id] for agent_id in by_urgency[:keep]}
             problem = self._episode_problem(
                 tasks, positions, subset, pending_cells, corridors
             )
             solution = self._solve_episode(
-                problem, remaining, set(subset), node_limit=_FALLBACK_NODE_LIMIT
+                problem, set(subset), node_limit=_FALLBACK_NODE_LIMIT
             )
             if solution is not None:
                 return solution, set(subset)
@@ -492,35 +485,29 @@ class IteratedPlanner:
     def _solve_episode(
         self,
         problem: MAPFProblem,
-        time_limit: Optional[float],
         dispatched: Set[int],
         node_limit: Optional[int] = None,
     ) -> Optional[MAPFSolution]:
         options = self.options
         budget = node_limit if node_limit is not None else options.per_episode_node_limit
         if options.engine == "cbs":
-            return solve_cbs(
-                problem,
-                CBSOptions(max_nodes=budget, time_limit=time_limit),
-            )
+            return solve_cbs(problem, CBSOptions(max_nodes=budget))
         if options.engine == "prioritized":
             # Prioritized planning is incomplete: a low-priority agent can be
             # boxed in by earlier reservations.  Working agents plan first
             # (idle agents rarely need right-of-way), and every rotation of
             # the order is retried (deterministic, at most n cheap solves)
             # before declaring the episode unsolvable.  The rotation sweep
-            # honors the episode deadline: at fleet scale n solves of an
+            # honors the run's deadline: at fleet scale n solves of an
             # unsolvable instance would otherwise blow straight through the
             # caller's time budget.
-            deadline = (
-                time.perf_counter() + time_limit if time_limit is not None else None
-            )
+            deadline = current_deadline()
             agent_ids = sorted(
                 (agent.agent_id for agent in problem.agents),
                 key=lambda a: (a not in dispatched, a),
             )
             for shift in range(max(1, len(agent_ids))):
-                if deadline is not None and shift and time.perf_counter() > deadline:
+                if shift and deadline is not None and deadline.expired():
                     return None
                 order = agent_ids[shift:] + agent_ids[:shift]
                 solution = solve_prioritized(problem, order=order)
@@ -529,11 +516,7 @@ class IteratedPlanner:
             return None
         return solve_ecbs(
             problem,
-            ECBSOptions(
-                suboptimality=options.suboptimality,
-                max_nodes=budget,
-                time_limit=time_limit,
-            ),
+            ECBSOptions(suboptimality=options.suboptimality, max_nodes=budget),
         )
 
 

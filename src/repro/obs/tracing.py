@@ -49,6 +49,8 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Union
 
+from ..deadline import ScenarioTimeout
+
 #: Attribute values spans accept (anything JSON-scalar).
 AttrValue = Union[str, int, float, bool]
 
@@ -247,12 +249,16 @@ def stage(
     raises — the stage's seconds are added to ``timings[key]``: the span's
     own :attr:`Span.duration` while tracing, so timings and traces agree
     exactly; otherwise two clock reads time the block and no span is built.
+    A ``ScenarioTimeout`` leaving the block is named after the outermost key.
     """
     sp = _TRACER.span(name, **attrs)
     start = 0.0 if sp.enabled else perf_counter()
     try:
         with sp:
             yield sp
+    except ScenarioTimeout as timeout:
+        timeout.stage = key
+        raise
     finally:
         seconds = sp.duration if sp.enabled else perf_counter() - start
         timings[key] = timings.get(key, 0.0) + seconds

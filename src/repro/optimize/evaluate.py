@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..deadline import check_budget
 from ..experiments.runner import execute_scenario
 from ..experiments.scenario import ScenarioSpec
 from ..experiments.store import STATUS_ERROR, ResultStore, RunRecord
@@ -41,6 +42,7 @@ from ..service.api import ServiceRequest, ServiceResponse
 from ..service.cache import ResultCache
 from ..service.client import RoundRobinClient, ServiceClientError
 from ..service.server import ServiceConfig, SolveService
+from .space import OptimizeError
 
 
 @dataclass
@@ -90,7 +92,7 @@ class CachedEvaluator:
         start_method: str = "spawn",
         max_pending: int = 64,
     ):
-        self.timeout_seconds = timeout_seconds
+        self.timeout_seconds = check_budget(timeout_seconds, error=OptimizeError)
         self.evaluations = 0
         self.service: Optional[SolveService] = None
         if workers >= 1:

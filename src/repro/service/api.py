@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from ..deadline import check_budget
 from ..experiments.scenario import ScenarioSpec
 from ..experiments.store import RUN_STATUSES
 
@@ -57,8 +58,8 @@ class ServiceRequest:
     """One solve/simulate request: a scenario plus serving knobs."""
 
     scenario: ScenarioSpec
-    #: Per-request compute budget (overrides the server default when set);
-    #: enforced in the worker via SIGALRM + the ILP backend's native limit.
+    #: Per-request compute budget, positive when set (overrides the server
+    #: default); the worker holds the run to it with one deadline scope.
     timeout_seconds: Optional[float] = None
     #: Skip cache lookup and recompute (the result still refreshes the cache).
     fresh: bool = False
@@ -66,10 +67,7 @@ class ServiceRequest:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.timeout_seconds is not None and not self.timeout_seconds > 0:
-            raise ServiceRequestError(
-                f"timeout_seconds must be positive when set (got {self.timeout_seconds!r})"
-            )
+        check_budget(self.timeout_seconds, error=ServiceRequestError)
 
     @property
     def scenario_id(self) -> str:

@@ -60,6 +60,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from ..deadline import check_budget
 from ..experiments.scenario import ScenarioSpec
 from ..obs import AlertMonitor, EventLog, MetricsRegistry, parse_rules, span
 from ..experiments.store import (
@@ -127,6 +128,9 @@ class ServiceConfig:
     alert_rules: Tuple[str, ...] = ()
     #: Seconds between server-side alert evaluations.
     alert_interval: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_budget(self.timeout_seconds)
 
 
 @dataclass
@@ -443,10 +447,10 @@ class SolveService:
                 return self._rejected(request, str(error), error.retry_after_seconds)
 
             compute_start = time.perf_counter()
-            # The worker enforces the budget itself (SIGALRM + the backend's
-            # native limit); the service-side wait is only a generous backstop
-            # against a wedged worker — and it always exists, because a
-            # forever-blocked leader would leak a pool slot and a thread.
+            # The worker holds the run to its deadline; this wait is only a
+            # backstop against a wedged worker, a native HiGHS call or one
+            # long search step, which no deadline check can interrupt.  It
+            # always exists: a blocked leader would leak a slot and a thread.
             backstop = (
                 self.config.max_compute_seconds
                 if timeout is None

@@ -5,7 +5,8 @@ integer clock counted in plan timesteps ("ticks"), and a seeded random
 generator shared by every stochastic process of a run.  There is **no
 wall-clock dependence anywhere** — two runs with the same seed and the same
 processes execute the exact same event sequence, which is what makes simulated
-traces reproducible, diffable and usable as regression artifacts.
+traces reproducible, diffable and usable as regression artifacts (a run's
+deadline check reads the clock, but can only abort the run, never alter it).
 
 Events scheduled for the same tick are ordered by an explicit priority and
 then by insertion order, so intra-tick phases are well defined.  The module
@@ -38,6 +39,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..deadline import current_deadline
 from ..obs import span
 
 #: Intra-tick phase ordering (lower runs first).
@@ -169,13 +171,15 @@ class SimulationEngine:
         """Process events in order until the heap drains or the clock passes ``until``.
 
         Returns the number of events processed by this call.  ``until`` is
-        inclusive: events scheduled exactly at ``until`` still fire.
+        inclusive: events scheduled exactly at ``until`` still fire.  Each
+        tick, the run checks the calling thread's deadline, if any.
         """
         if self._running:
             raise SimulationError("the engine is already running (re-entrant run())")
         self._running = True
         self._stopped = False
         processed = 0
+        deadline = current_deadline()
         with span("sim.engine.run", seed=self.seed) as sp:
             # Per-event work stays untraced (the loop is the hot path); when
             # tracing is on we tally events per priority band locally and
@@ -189,6 +193,8 @@ class SimulationEngine:
                     heapq.heappop(self._heap)
                     if event.cancelled:
                         continue
+                    if deadline is not None and event.time != self._now:
+                        deadline.check()
                     self._now = event.time
                     self._current_priority = event.priority
                     try:

@@ -99,8 +99,6 @@ class RoutingConfig:
     max_episodes: int = 10_000
     #: Per-episode high-level node budget of CBS/ECBS.
     node_limit: int = 20_000
-    #: Wall-clock budget for the whole routing pass (``None`` = unbounded).
-    time_limit: Optional[float] = None
     #: Pace waypoint arrivals to the abstract plan's timeline (see module
     #: docstring).  Disable for the raw as-fast-as-possible regime.
     pace_to_plan: bool = True
@@ -437,7 +435,6 @@ def route_plan(
         IteratedPlannerOptions(
             engine=config.engine,
             suboptimality=config.suboptimality,
-            time_limit=config.time_limit,
             max_episodes=config.max_episodes,
             per_episode_node_limit=config.node_limit,
             commit_window=config.effective_window,

@@ -210,10 +210,6 @@ class ShelfProcess:
         self.recorder.record_pickup(now, self.component_id, product)
         return True
 
-    @property
-    def units_remaining(self) -> int:
-        return sum(self.stock.values())
-
 
 def build_station_processes(
     engine: SimulationEngine,

@@ -109,11 +109,6 @@ class SimulationTrace:
         """Served units per tick over the whole run."""
         return self.units_served / max(1, self.ticks - 1)
 
-    def served_units_of(self, product: ProductId) -> int:
-        return int(
-            sum(counts.sum() for (_, p), counts in self.served.items() if p == product)
-        )
-
     def served_per_product(self) -> Dict[ProductId, int]:
         totals: Dict[ProductId, int] = {}
         for (_, product), counts in self.served.items():

@@ -101,15 +101,8 @@ class OrderBook:
     def num_pending(self) -> int:
         return sum(len(q) for q in self._pending.values())
 
-    @property
-    def num_fulfilled(self) -> int:
-        return len(self.orders) - self.num_pending
-
     def buffered_units(self) -> int:
         return sum(self._buffer.values())
-
-    def pending_per_product(self) -> Dict[ProductId, int]:
-        return {p: len(q) for p, q in self._pending.items() if q}
 
 
 def product_mix_from_workload(workload: Workload) -> Tuple[Tuple[ProductId, ...], np.ndarray]:

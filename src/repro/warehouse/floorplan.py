@@ -157,12 +157,6 @@ class FloorplanGraph:
     def is_station(self, vertex: VertexId) -> bool:
         return vertex in self.stations
 
-    def shelves_adjacent_to(self, vertex: VertexId) -> List[Cell]:
-        """Shelf cells reachable from a vertex (empty when not a shelf-access vertex)."""
-        if self.grid is None:
-            return []
-        return self.grid.adjacent_shelves(self.cell_of(vertex))
-
     # -- graph algorithms --------------------------------------------------------
     def bfs_distances(self, source: VertexId) -> Dict[VertexId, int]:
         """Unweighted shortest-path distances from ``source`` to every reachable vertex."""

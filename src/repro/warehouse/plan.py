@@ -78,12 +78,6 @@ class Plan:
         return int(self.positions.shape[1])
 
     # -- per-agent views --------------------------------------------------------
-    def agent_positions(self, agent: int) -> np.ndarray:
-        return self.positions[agent]
-
-    def agent_carrying(self, agent: int) -> np.ndarray:
-        return self.carrying[agent]
-
     def state(self, agent: int, t: int) -> Tuple[VertexId, ProductId]:
         """The state ``(π_{i,t}, φ_{i,t})`` of an agent at a timestep."""
         return int(self.positions[agent, t]), int(self.carrying[agent, t])

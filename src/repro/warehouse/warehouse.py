@@ -60,10 +60,6 @@ class Warehouse:
         return self.floorplan.grid
 
     @property
-    def shelf_access_vertices(self) -> frozenset:
-        return self.floorplan.shelf_access
-
-    @property
     def station_vertices(self) -> frozenset:
         return self.floorplan.stations
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import WSPSolver
+from repro.deadline import current_deadline
 from repro.maps import toy_warehouse
 from repro.obs import capture_trace
 from repro.mapf import (
@@ -224,8 +225,8 @@ class TestIteratedPlanner:
             for i in range(4)
         ]
 
-        def searches_until_its_limit(self, problem, time_limit, dispatched, node_limit=None):
-            time.sleep(min(time_limit, 0.2))
+        def searches_until_its_limit(self, problem, dispatched, node_limit=None):
+            time.sleep(min(current_deadline().remaining(), 0.2))
             return None
 
         monkeypatch.setattr(IteratedPlanner, "_solve_episode", searches_until_its_limit)

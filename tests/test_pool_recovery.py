@@ -195,8 +195,8 @@ class TestWorkerModeEvaluator:
 
 
 def test_timeout_budget_works_off_the_main_thread():
-    # SIGALRM handlers can only be installed on the main thread; off it the
-    # run keeps its native solver limit instead of failing.
+    # A budget is a deadline scope of the calling thread, so it holds off the
+    # main thread too; a generous one lets the run finish.
     outcome = {}
     thread = threading.Thread(
         target=lambda: outcome.update(execute_scenario(THIRD.to_dict(), 60))
