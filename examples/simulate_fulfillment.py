@@ -44,7 +44,7 @@ def baseline(designed, solver, solution):
     print("=== 1. deterministic baseline (the twin must match the promise) ===")
     report = solver.simulate(solution, SimulationConfig(seed=0))
     print(report.summary())
-    metrics = compute_sim_metrics(report.trace)
+    metrics = compute_sim_metrics(report)
     print(f"  verdict:             {throughput_gap_report(metrics)}")
     print()
     print("Congestion heatmap (agent-ticks per cell, ' '→'$' cold→hot):")

@@ -46,9 +46,13 @@ class SweepSummary:
         statuses = ", ".join(
             f"{status}={count}" for status, count in sorted(self.by_status.items())
         )
+        head = f"sweep: {self.total} runs ({statuses}), pass rate {self.pass_rate:.0%}"
+        if not self.by_status.get("ok"):
+            # Zeros here would read as instantaneous runs, not as no data.
+            return f"{head}\n  no run succeeded: no runtimes or deliveries to report"
         return "\n".join(
             [
-                f"sweep: {self.total} runs ({statuses}), pass rate {self.pass_rate:.0%}",
+                head,
                 f"  synthesis runtime:  p50 {self.synthesis_p50:.3f}s, "
                 f"p90 {self.synthesis_p90:.3f}s, max {self.synthesis_max:.3f}s",
                 f"  end-to-end runtime: p50 {self.total_p50:.3f}s, max {self.total_max:.3f}s",

@@ -1,7 +1,7 @@
 """Metrics over simulated traces: realized vs. synthesized service quality.
 
 Static :mod:`repro.analysis.metrics` scores a *plan*; this module scores an
-*execution* — a :class:`~repro.sim.telemetry.SimulationTrace` produced by the
+*execution* — a :class:`~repro.sim.runner.SimulationReport` produced by the
 digital twin.  The headline quantity is the realized/synthesized throughput
 ratio: 1.0 means the executed system delivers exactly what the contract-based
 synthesis promised; below 1.0 quantifies how much the dynamics (service
@@ -11,9 +11,10 @@ queues, stochastic arrivals, stockouts) eat into the promise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..sim.telemetry import SimulationTrace
+if TYPE_CHECKING:  # pragma: no cover - the runner loads the solver
+    from ..sim.runner import SimulationReport
 
 
 @dataclass(frozen=True)
@@ -60,27 +61,22 @@ class SimMetrics:
         }
 
 
-def compute_sim_metrics(
-    trace: SimulationTrace, synthesized_throughput: Optional[float] = None
-) -> SimMetrics:
-    """Condense a simulation trace into :class:`SimMetrics`.
+def compute_sim_metrics(report: "SimulationReport") -> SimMetrics:
+    """Condense a :class:`~repro.sim.runner.SimulationReport` into :class:`SimMetrics`.
 
-    ``synthesized_throughput`` defaults to the value stamped into the trace
-    metadata by the runner (0.0 when the run had no flow set to compare to).
+    The throughput ratio is the report's own: normalized over the ticks the
+    plan promised, so a truncated run is never scored over its shorter span.
     """
-    if synthesized_throughput is None:
-        synthesized_throughput = float(trace.metadata.get("synthesized_throughput", 0.0))
-    realized = trace.realized_throughput()
-    ratio = realized / synthesized_throughput if synthesized_throughput > 0 else 0.0
+    trace = report.trace
     return SimMetrics(
         ticks=trace.ticks,
         num_agents=trace.num_agents,
         units_served=trace.units_served,
         units_handed_off=trace.units_handed_off,
         station_backlog=trace.station_backlog,
-        realized_throughput=realized,
-        synthesized_throughput=synthesized_throughput,
-        throughput_ratio=ratio,
+        realized_throughput=report.realized_throughput,
+        synthesized_throughput=report.synthesized_throughput,
+        throughput_ratio=report.throughput_ratio,
         orders_created=trace.orders_created,
         orders_served=trace.orders_served,
         mean_order_latency=trace.mean_order_latency(),

@@ -249,7 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (OrderStreamError, SimulationSetupError) as error:
         raise SystemExit(f"invalid simulation config: {error}")
     print(report.summary())
-    metrics = compute_sim_metrics(report.trace)
+    metrics = compute_sim_metrics(report)
     print(f"  verdict:             {throughput_gap_report(metrics)}")
     for stage, seconds in sorted(solution.timings.items()):
         print(f"  {stage:<14s} {seconds:8.3f}s")

@@ -22,8 +22,7 @@ Guarantees (promised by ``Ci``):
 The traffic-system contract is the composition of all component contracts
 (:func:`traffic_system_contract`).  The empty-handed flow ``f[i, j, 0]`` is
 the integer ``empty[i, j]`` itself.  These per-product contracts are what the
-runtime monitor checks against a simulated trace and what
-``SynthesisOptions.check_contracts`` pre-checks; the synthesis MILP is their
+runtime monitor checks against a simulated trace; the synthesis MILP is their
 exact aggregate (:mod:`repro.core.flow_synthesis`).
 
 Each constraint is compiled from one coefficient dict

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..contracts import AGContract, check_composition_consistency
+from ..contracts import AGContract
 from ..deadline import ScenarioTimeout, current_deadline
 from ..obs import stage
 from ..solver import SolveStatus, solve_model
@@ -57,7 +57,6 @@ class SynthesisOptions:
     objective: str = "min_agents"
     cycle_time_factor: int = 2
     warmup_periods: Optional[int] = None
-    check_contracts: bool = False
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
@@ -233,26 +232,6 @@ def synthesize_flows(
             pool, workload, num_periods, warmup_periods=warmup_periods
         )
         model = _build_model(pool, workload, num_periods, warmup_periods, options.objective)
-        inconsistency = (
-            check_composition_consistency([system_contract, demand_contract])
-            if options.check_contracts
-            else None
-        )
-
-    if inconsistency is not None:
-        return FlowSynthesisResult(
-            status=SolveStatus.INFEASIBLE,
-            flow_set=None,
-            cycle_time=cycle_time,
-            num_periods=num_periods,
-            build_seconds=timings["build"],
-            solve_seconds=0.0,
-            num_variables=model.num_variables,
-            num_constraints=model.num_constraints,
-            message=inconsistency,
-            traffic_contract=system_contract,
-            workload_contract=demand_contract,
-        )
 
     deadline = current_deadline()
     with stage(timings, "solve", "solver.synthesis.solve"):

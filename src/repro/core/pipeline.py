@@ -43,6 +43,10 @@ from .flow_synthesis import (
 )
 from .realization import RealizationError, RealizationOptions, RealizationResult, realize_cycle_set
 
+#: Largest cycle-time factor a solve retries with when realization violates
+#: Property 4.1 (never needed on the generated maps; kept as a safety net).
+MAX_CYCLE_TIME_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -50,13 +54,6 @@ class SolverOptions:
 
     synthesis: SynthesisOptions = field(default_factory=SynthesisOptions)
     realization: RealizationOptions = field(default_factory=RealizationOptions)
-    #: Validate the traffic system against the Sec. IV-A design rules first.
-    validate_traffic_system: bool = True
-    #: Run the independent plan validator on the realized plan.
-    validate_plan: bool = True
-    #: Retry with a larger cycle-time factor if realization ever violates
-    #: Property 4.1 (never needed on the generated maps; kept as a safety net).
-    max_cycle_time_factor: int = 4
 
 
 @dataclass
@@ -140,8 +137,7 @@ class WSPSolver:
     def __init__(self, traffic_system: TrafficSystem, options: Optional[SolverOptions] = None):
         self.traffic_system = traffic_system
         self.options = options or SolverOptions()
-        if self.options.validate_traffic_system:
-            assert_valid(traffic_system)
+        assert_valid(traffic_system)
 
     def simulate(
         self, solution: WSPSolution, config: Optional["SimulationConfig"] = None
@@ -181,7 +177,7 @@ class WSPSolver:
         factor = self.options.synthesis.cycle_time_factor
         last_message = ""
         synthesis_result: Optional[FlowSynthesisResult] = None
-        while factor <= self.options.max_cycle_time_factor:
+        while factor <= MAX_CYCLE_TIME_FACTOR:
             synthesis_options = replace(self.options.synthesis, cycle_time_factor=factor)
             with stage(
                 timings, "synthesis", "solver.synthesis", cycle_time_factor=factor
@@ -220,12 +216,8 @@ class WSPSolver:
                 solve_span.add("realization_retries")
                 continue
 
-            plan_report = None
-            if self.options.validate_plan:
-                with stage(timings, "validation", "solver.validation"):
-                    plan_report = PlanValidator(instance.warehouse).validate(
-                        realization.plan
-                    )
+            with stage(timings, "validation", "solver.validation"):
+                plan_report = PlanValidator(instance.warehouse).validate(realization.plan)
 
             return WSPSolution(
                 instance=instance,
@@ -246,7 +238,7 @@ class WSPSolver:
             synthesis=synthesis_result,
             timings=timings,
             message=f"realization failed up to cycle-time factor "
-            f"{self.options.max_cycle_time_factor}: {last_message}",
+            f"{MAX_CYCLE_TIME_FACTOR}: {last_message}",
         )
 
     def solve(self, workload: Workload, horizon: int) -> WSPSolution:

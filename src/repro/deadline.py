@@ -14,15 +14,17 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from time import monotonic
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 
 class ScenarioTimeout(Exception):
-    """A run outlived its budget; :func:`repro.obs.stage` sets ``stage``."""
+    """A run outlived its budget; :func:`repro.obs.stage` sets ``stage`` and
+    ``timings``, the stage times of the outermost stage it left."""
 
     def __init__(self, seconds: float, stage: str = "") -> None:
         super().__init__(seconds, stage)
         self.seconds, self.stage = seconds, stage
+        self.timings: Dict[str, float] = {}
 
     def __str__(self) -> str:
         where = f" in {self.stage}" if self.stage else ""

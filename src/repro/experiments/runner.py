@@ -250,6 +250,9 @@ def execute_scenario(
                 sim=sim,
             )
     except ScenarioTimeout as error:
+        # The solver and the twin time their stages into dicts of their own,
+        # which a run that ran out never returns.
+        timings.update(error.timings)
         return record(STATUS_TIMEOUT, str(error))
     except (
         ScenarioError, WarehouseError, WorkloadError, TrafficError, pipeline.FlowSynthesisError

@@ -9,7 +9,6 @@ co-design pipeline.
 
 from .astar import (
     SearchStats,
-    count_path_conflicts,
     shortest_path_lengths,
     space_time_astar,
     space_time_focal_astar,
@@ -69,7 +68,6 @@ __all__ = [
     "SearchStats",
     "agent_row",
     "count_conflicts",
-    "count_path_conflicts",
     "distance_tables",
     "find_conflicts",
     "first_conflict",

@@ -48,7 +48,7 @@ from .constraints import (
     interval_index,
 )
 from .heuristics import distance_tables, heuristic_row
-from .problem import Path, position_at
+from .problem import Path
 
 
 def shortest_path_lengths(
@@ -299,29 +299,6 @@ def space_time_astar(
                     parents[next_state] = state
                     stats.generated += 1
                     open_queue.push(arrival - start_time + h_neighbor, next_state)
-
-
-def count_path_conflicts(
-    path: Sequence[VertexId], other_paths: Sequence[Sequence[VertexId]], offset: int = 0
-) -> int:
-    """Number of vertex/edge collisions ``path`` has against ``other_paths``.
-
-    Used as the focal-queue tie-breaking heuristic of ECBS.
-    """
-    conflicts = 0
-    for t in range(len(path)):
-        vertex = path[t]
-        absolute = t + offset
-        for other in other_paths:
-            if position_at(other, absolute) == vertex:
-                conflicts += 1
-            if (
-                t > 0
-                and position_at(other, absolute) == path[t - 1]
-                and position_at(other, absolute - 1) == vertex
-            ):
-                conflicts += 1
-    return conflicts
 
 
 class _Occupancy:

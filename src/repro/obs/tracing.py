@@ -249,7 +249,8 @@ def stage(
     raises — the stage's seconds are added to ``timings[key]``: the span's
     own :attr:`Span.duration` while tracing, so timings and traces agree
     exactly; otherwise two clock reads time the block and no span is built.
-    A ``ScenarioTimeout`` leaving the block is named after the outermost key.
+    A ``ScenarioTimeout`` leaving the block is named after the outermost key
+    and carries that stage's ``timings``, which its seconds reach on exit.
     """
     sp = _TRACER.span(name, **attrs)
     start = 0.0 if sp.enabled else perf_counter()
@@ -257,7 +258,7 @@ def stage(
         with sp:
             yield sp
     except ScenarioTimeout as timeout:
-        timeout.stage = key
+        timeout.stage, timeout.timings = key, timings
         raise
     finally:
         seconds = sp.duration if sp.enabled else perf_counter() - start

@@ -44,6 +44,9 @@ from ..service.client import RoundRobinClient, ServiceClientError
 from ..service.server import ServiceConfig, SolveService
 from .space import OptimizeError
 
+#: Run records the evaluator's cache keeps in memory.
+_CACHE_CAPACITY = 4096
+
 
 @dataclass
 class Evaluation:
@@ -87,10 +90,7 @@ class CachedEvaluator:
         self,
         workers: int = 0,
         store_path: Optional[str] = None,
-        cache_capacity: int = 4096,
         timeout_seconds: Optional[float] = None,
-        start_method: str = "spawn",
-        max_pending: int = 64,
     ):
         self.timeout_seconds = check_budget(timeout_seconds, error=OptimizeError)
         self.evaluations = 0
@@ -99,11 +99,10 @@ class CachedEvaluator:
             self.service = SolveService(
                 ServiceConfig(
                     workers=workers,
-                    max_pending=max_pending,
-                    cache_capacity=cache_capacity,
+                    max_pending=64,
+                    cache_capacity=_CACHE_CAPACITY,
                     store_path=store_path,
                     timeout_seconds=timeout_seconds,
-                    start_method=start_method,
                     cache_shards=4,
                     warm_up=False,
                 )
@@ -111,7 +110,7 @@ class CachedEvaluator:
             self.cache = self.service.cache
         else:
             store = ResultStore(store_path) if store_path else None
-            self.cache = ResultCache(capacity=cache_capacity, store=store, shards=4)
+            self.cache = ResultCache(capacity=_CACHE_CAPACITY, store=store, shards=4)
 
     def evaluate(self, spec: ScenarioSpec) -> Evaluation:
         return self.evaluate_many([spec])[0]

@@ -82,6 +82,11 @@ from .api import (
 from .cache import ResultCache
 from .pool import PoolDraining, PoolSaturated, ServicePool
 
+#: Hard service-side ceiling on one computation when no timeout is set: the
+#: backstop that stops a wedged worker from consuming a pool slot (and
+#: blocking its leader thread) forever.
+MAX_COMPUTE_SECONDS = 3600.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -97,10 +102,6 @@ class ServiceConfig:
     cache_capacity: int = 1024
     #: Default per-request compute budget (requests may override).
     timeout_seconds: Optional[float] = None
-    #: Hard service-side ceiling on one computation when no timeout is set —
-    #: the backstop that stops a wedged worker from consuming a pool slot
-    #: (and blocking its leader thread) forever.
-    max_compute_seconds: float = 3600.0
     #: Path of the persistent JSONL cache tier (None: memory only).
     store_path: Optional[str] = None
     #: How long a coalesced follower waits for its leader before erroring.
@@ -119,8 +120,6 @@ class ServiceConfig:
     #: Spawn the worker processes at startup instead of on first request.
     warm_up: bool = True
     start_method: str = "spawn"
-    #: Structured events retained in memory (the SSE replay / dashboard tail).
-    events_capacity: int = 2048
     #: Optional JSONL sink every event appends to (flock-safe).
     events_path: Optional[str] = None
     #: Alert rule specs evaluated server-side over the metrics registry;
@@ -253,10 +252,9 @@ class SolveService:
         )
         self._fast_counters: Dict[str, object] = {}
         #: Per-instance structured event log: the operational moments the
-        #: ``/events`` SSE stream, ``/dashboard`` and ``repro top`` observe.
-        self.events = EventLog(
-            capacity=self.config.events_capacity, path=self.config.events_path
-        )
+        #: ``/events`` SSE stream, ``/dashboard`` and ``repro top`` observe
+        #: (its default 2048 retained events are their replay tail).
+        self.events = EventLog(path=self.config.events_path)
         #: Server-side alert evaluation (rules from the config), firing
         #: ``alert.fired``/``alert.resolved`` events into the same stream.
         self.alerts: Optional[AlertMonitor] = None
@@ -452,9 +450,7 @@ class SolveService:
             # long search step, which no deadline check can interrupt.  It
             # always exists: a blocked leader would leak a slot and a thread.
             backstop = (
-                self.config.max_compute_seconds
-                if timeout is None
-                else timeout * 2.0 + 60.0
+                MAX_COMPUTE_SECONDS if timeout is None else timeout * 2.0 + 60.0
             )
             try:
                 document = future.result(timeout=backstop)

@@ -22,10 +22,9 @@ Two measurement conventions keep the binding faithful:
 Counting over a finite window leaves O(1) units "in flight" per constraint
 (agents mid-component at the window edges), so each traffic-contract
 constraint is checked with a slack of a few units spread over the measured
-periods; the slack is configurable and auto-sized from the largest component
-capacity.  The workload contract is checked with *zero* slack: served units
-are cumulative events, so its ≥-rate guarantees must hold exactly once the
-demand is serviced.
+periods: the largest component capacity + 1 per window.  The workload
+contract is checked with *zero* slack: served units are cumulative events, so
+its ≥-rate guarantees must hold exactly once the demand is serviced.
 
 Besides the post-hoc contract evaluation, the monitor runs *live*: attached to
 the engine it re-checks the hard per-period capacity assumption at every
@@ -126,16 +125,12 @@ class ContractMonitor:
         / ``workload_contract``).  Either may be ``None`` to skip it.
     warmup_periods:
         The warm-up margin the workload contract was compiled with.
-    slack_units:
-        Window-edge tolerance in *units per window* per constraint; ``None``
-        auto-sizes it to the largest component capacity + 1.
     """
 
     system: TrafficSystem
     traffic_contract: Optional[AGContract] = None
     demand_contract: Optional[AGContract] = None
     warmup_periods: int = 0
-    slack_units: Optional[float] = None
     live_violations: List[MonitorViolation] = field(default_factory=list)
     _live_seen: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
@@ -196,9 +191,7 @@ class ContractMonitor:
     ) -> MonitorReport:
         periods = max(1, trace.periods)
         effective = max(1, periods - self.warmup_periods)
-        slack = self.slack_units
-        if slack is None:
-            slack = float(max(c.capacity for c in self.system.components) + 1)
+        slack = float(max(c.capacity for c in self.system.components) + 1)
         violations: List[MonitorViolation] = list(self.live_violations)
         checked = 0
 
@@ -358,11 +351,7 @@ def _observed(trace: SimulationTrace) -> Dict[str, Dict[Tuple[int, ...], int]]:
     }
 
 
-def monitor_from_synthesis(
-    system: TrafficSystem,
-    synthesis,
-    slack_units: Optional[float] = None,
-) -> ContractMonitor:
+def monitor_from_synthesis(system: TrafficSystem, synthesis) -> ContractMonitor:
     """Build a monitor from a :class:`~repro.core.flow_synthesis.FlowSynthesisResult`."""
     flow_set = getattr(synthesis, "flow_set", None)
     return ContractMonitor(
@@ -370,5 +359,4 @@ def monitor_from_synthesis(
         traffic_contract=getattr(synthesis, "traffic_contract", None),
         demand_contract=getattr(synthesis, "workload_contract", None),
         warmup_periods=flow_set.warmup_periods if flow_set is not None else 0,
-        slack_units=slack_units,
     )

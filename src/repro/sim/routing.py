@@ -97,8 +97,6 @@ class RoutingConfig:
     suboptimality: float = 1.5
     #: Episode cap of the iterated planner (guards livelock).
     max_episodes: int = 10_000
-    #: Per-episode high-level node budget of CBS/ECBS.
-    node_limit: int = 20_000
     #: Pace waypoint arrivals to the abstract plan's timeline (see module
     #: docstring).  Disable for the raw as-fast-as-possible regime.
     pace_to_plan: bool = True
@@ -116,8 +114,6 @@ class RoutingConfig:
             )
         if self.max_episodes < 1:
             raise RoutingError(f"max_episodes must be positive, got {self.max_episodes}")
-        if self.node_limit < 1:
-            raise RoutingError(f"node_limit must be positive, got {self.node_limit}")
 
     @property
     def is_grid_routed(self) -> bool:
@@ -436,7 +432,6 @@ def route_plan(
             engine=config.engine,
             suboptimality=config.suboptimality,
             max_episodes=config.max_episodes,
-            per_episode_node_limit=config.node_limit,
             commit_window=config.effective_window,
         ),
     )

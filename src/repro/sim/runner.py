@@ -62,15 +62,8 @@ class SimulationConfig:
     #: Poisson order arrivals at this rate (orders/tick); ``None`` = all
     #: orders at tick 0 (deterministic workload semantics).
     arrival_rate: Optional[float] = None
-    #: Run the runtime contract monitor (live + post-hoc).
-    monitor_contracts: bool = True
-    #: Contract-monitor slack (units per window); ``None`` = auto.
-    monitor_slack_units: Optional[float] = None
     #: Keep the full ordered event log (the determinism witness).
     record_events: bool = True
-    #: Record every station's queue length per tick (stations report it at
-    #: each hand-off and service completion; the trace carries it forward).
-    sample_queues: bool = True
     #: Stop after this many ticks (``None`` = the executed plan's horizon).
     max_ticks: Optional[int] = None
     #: Grid-routed execution (``None`` = abstract plan replay); see
@@ -374,14 +367,11 @@ def _simulate_traced(
         executor.start()
 
     monitor: Optional[ContractMonitor] = None
-    if config.monitor_contracts and synthesis is not None:
-        monitor = monitor_from_synthesis(
-            system, synthesis, slack_units=config.monitor_slack_units
-        )
+    if synthesis is not None:
+        monitor = monitor_from_synthesis(system, synthesis)
         monitor.attach(engine, recorder, cycle_time)
 
-    if config.sample_queues:
-        recorder.track_queues(stations)
+    recorder.track_queues(stations)
     setup_timer.__exit__(None, None, None)
 
     engine.run(until=ticks - 1)
@@ -437,7 +427,7 @@ def _simulate_traced(
     monitor_report: Optional[MonitorReport] = None
     if monitor is not None:
         monitor_report = monitor.evaluate(trace, workload=workload)
-    elif workload is not None and config.monitor_contracts:
+    elif workload is not None:
         # No compiled contracts available — still run the end-to-end check.
         monitor_report = ContractMonitor(system=system).evaluate(trace, workload=workload)
     finalize_timer.__exit__(None, None, None)

@@ -141,9 +141,3 @@ class TestSynthesisFailure:
 
         with pytest.raises(WorkloadContractError):
             synthesize_flows(system, workload, horizon=5)
-
-    def test_contract_precheck_reports_consistent(self, system, workload):
-        result = synthesize_flows(
-            system, workload, horizon=600, options=SynthesisOptions(check_contracts=True)
-        )
-        assert result.succeeded

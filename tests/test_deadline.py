@@ -41,6 +41,13 @@ from repro.sim import runner as sim_runner
 
 TINY = ScenarioSpec(num_slices=2, shelf_columns=4, num_products=4, units=8, horizon=800)
 BAD_BUDGETS = [0.0, -1.0, float("nan")]
+#: The ``timings`` stages of a finished simulated run, in the order they run.
+STAGES = ["generate", "synthesis", "decomposition", "realization", "validation", "simulation"]
+
+
+def _timed_up_to(document, stage_name):
+    """Every stage up to the one that ran out kept its seconds, no later one ran."""
+    return set(document["timings"]) == set(STAGES[: STAGES.index(stage_name) + 1])
 
 
 class TestScope:
@@ -96,6 +103,7 @@ class TestScope:
                     raise ScenarioTimeout(0.05)
         assert str(caught.value) == "run exceeded the 0.05s timeout in synthesis"
         assert set(timings) == {"synthesis", "solve"}
+        assert caught.value.timings is timings
 
 
 class TestBudgetRule:
@@ -175,6 +183,7 @@ class TestRunsOutOfTime:
         document = execute_scenario(TINY.to_dict(), timeout_seconds=0.5)
         assert document["status"] == STATUS_TIMEOUT
         assert document["message"] == f"run exceeded the 0.5s timeout in {stage_name}"
+        assert _timed_up_to(document, stage_name), document["timings"]
 
     def test_highs_out_of_time_names_synthesis(self, monkeypatch):
         solve = flow_synthesis.solve_model
@@ -188,7 +197,10 @@ class TestRunsOutOfTime:
         document = execute_scenario(TINY.to_dict(), timeout_seconds=0.5)
         assert document["status"] == STATUS_TIMEOUT
         assert document["message"] == "run exceeded the 0.5s timeout in synthesis"
+        assert _timed_up_to(document, "synthesis"), document["timings"]
 
     def test_a_run_within_its_budget_is_untouched(self):
-        assert execute_scenario(TINY.to_dict(), timeout_seconds=60)["status"] == STATUS_OK
+        document = execute_scenario(TINY.to_dict(), timeout_seconds=60)
+        assert document["status"] == STATUS_OK
+        assert _timed_up_to(document, "simulation"), document["timings"]
         assert current_deadline() is None

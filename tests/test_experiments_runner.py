@@ -177,6 +177,12 @@ class TestAggregation:
         assert summary.pass_rate == 0.0
         assert summary.synthesis_p50 == 0.0
 
+    def test_summary_without_a_successful_run_reports_no_runtimes(self, tiny_records):
+        for records in ([], tiny_records[2:]):  # nothing, and one infeasible run
+            text = aggregate_sweep(records).summary()
+            assert "no run succeeded" in text
+            assert "0.000s" not in text
+
     def test_sweep_table_and_report(self, tiny_records):
         table = sweep_table(tiny_records)
         assert "infeasible" in table

@@ -16,7 +16,6 @@ from repro.mapf import (
     MAPFProblem,
     ReservationTable,
     SearchStats,
-    count_path_conflicts,
     distance_tables,
     find_conflicts,
     first_conflict,
@@ -182,12 +181,7 @@ class TestFocalAStar:
         )
         assert result is not None
         path, _ = result
-        assert count_path_conflicts(path, [blocker]) == 0
-
-    def test_count_path_conflicts(self, floorplan):
-        a = (v(floorplan, 0, 0), v(floorplan, 1, 0))
-        b = (v(floorplan, 1, 0), v(floorplan, 1, 0))
-        assert count_path_conflicts(a, [b]) >= 1
+        assert find_conflicts([path, blocker]) == []
 
 
 class TestProblemValidation:

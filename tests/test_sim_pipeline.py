@@ -211,7 +211,7 @@ class TestPipelineIntegration:
 
 class TestSimMetricsAndRendering:
     def test_compute_sim_metrics(self, baseline_report):
-        metrics = compute_sim_metrics(baseline_report.trace)
+        metrics = compute_sim_metrics(baseline_report)
         assert metrics.throughput_ratio == pytest.approx(
             baseline_report.throughput_ratio, abs=1e-9
         )
@@ -225,7 +225,16 @@ class TestSimMetricsAndRendering:
             solution,
             SimulationConfig(seed=0, service_time=ServiceTimeModel.deterministic(300)),
         )
-        metrics = compute_sim_metrics(report.trace)
+        metrics = compute_sim_metrics(report)
+        assert "below" in throughput_gap_report(metrics)
+
+    def test_truncated_run_verdict_reads_the_reports_ratio(self, solution):
+        # 150 of the plan's 600 ticks: scored over the ticks it covered, the
+        # run would read as on target (ratio ~1.03) beside a TRUNCATED report.
+        report = simulate_solution(solution, SimulationConfig(seed=0, max_ticks=150))
+        assert report.truncated
+        metrics = compute_sim_metrics(report)
+        assert metrics.throughput_ratio == report.throughput_ratio < 0.5
         assert "below" in throughput_gap_report(metrics)
 
     def test_render_congestion(self, designed, baseline_report):

@@ -57,9 +57,7 @@ def assert_breaches_reproducible(report, system, synthesis, workload=None):
     assert report.monitor is not None, "the run was not monitored"
     reloaded = roundtrip_trace(report.trace)
 
-    monitor = monitor_from_synthesis(
-        system, synthesis, slack_units=report.config.monitor_slack_units
-    )
+    monitor = monitor_from_synthesis(system, synthesis)
     replay = monitor.evaluate(reloaded, workload=workload)
 
     def key(violation):
